@@ -13,11 +13,13 @@ from .errors import (
     DuplicateId,
     EmptyFront,
     EquivalenceViolation,
+    InvalidEpsilon,
     InvalidSpec,
     KneeMCDMError,
     NoExpectation,
     NonFiniteValue,
     ParseError,
+    SpreadOverflow,
     UnknownId,
 )
 from .front import (
@@ -73,6 +75,7 @@ __all__ = [
     "FAMILIES",
     "Front",
     "FrontSpec",
+    "InvalidEpsilon",
     "InvalidSpec",
     "KneeMCDMError",
     "NoExpectation",
@@ -80,6 +83,7 @@ __all__ = [
     "NormalizedFront",
     "ParseError",
     "SolutionScore",
+    "SpreadOverflow",
     "UnknownId",
     "build_classes",
     "dominance_filter",

@@ -18,10 +18,9 @@ import io
 import time
 from dataclasses import dataclass
 
-from .errors import EquivalenceViolation
 from .front import NormalizedFront, normalize
 from .generators import FrontSpec, generate, random_nondominated_front
-from .selection import DEFAULT_EPSILON, select_dnc, select_mmd, select_ws
+from .selection import select_dnc, select_mmd, select_ws, verify_equivalence
 
 METHODS = ("mmd", "ws", "dnc")
 
@@ -87,17 +86,14 @@ class BenchReport:
             out.write(",".join(cells) + "\n")
         return out.getvalue()
 
-    def c2_means(self, method: str) -> list[float]:
-        return [r.mean[method] for r in self.rows if r.category == "C2"]
-
 
 def _time_method(nf: NormalizedFront, method: str, reps: int) -> float:
     if method == "mmd":
-        run = lambda k: select_mmd(nf, DEFAULT_EPSILON)
+        run = lambda k: select_mmd(nf)
     elif method == "ws":
-        run = lambda k: select_ws(nf, DEFAULT_EPSILON)
+        run = lambda k: select_ws(nf)
     else:
-        run = lambda k: select_dnc(nf, DEFAULT_EPSILON, pairing_seed=k)
+        run = lambda k: select_dnc(nf, pairing_seed=k)
     for k in range(3):  # warm-up outside the clock
         run(k)
     start = time.perf_counter()
@@ -106,18 +102,8 @@ def _time_method(nf: NormalizedFront, method: str, reps: int) -> float:
     return time.perf_counter() - start
 
 
-def _check_agreement(nf: NormalizedFront, label: str) -> None:
-    winners = {
-        "mmd": set(select_mmd(nf).winner_ids),
-        "ws": set(select_ws(nf).winner_ids),
-        "dnc": set(select_dnc(nf).winner_ids),
-    }
-    if len({frozenset(w) for w in winners.values()}) != 1:
-        raise EquivalenceViolation(f"selectors disagree on {label}", winners=winners)
-
-
 def _timing_row(category: str, label: str, nf: NormalizedFront, reps: int) -> TimingRow:
-    _check_agreement(nf, label)
+    verify_equivalence(nf, seeds=(0,)).raise_if_failed()
     total = {m: _time_method(nf, m, reps) for m in METHODS}
     mean = {m: total[m] / reps for m in METHODS}
     return TimingRow(

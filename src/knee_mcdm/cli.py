@@ -12,6 +12,7 @@ violation, 5 plot dimensionality error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -39,19 +40,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_VIOLATION = 4
 EXIT_PLOT_DIMS = 5
-
-
-def _default_epsilon() -> float:
-    raw = os.environ.get(EPSILON_ENV)
-    if raw is None:
-        return DEFAULT_EPSILON
-    try:
-        value = float(raw)
-    except ValueError:
-        raise KneeMCDMError(f"{EPSILON_ENV}={raw!r} is not a number") from None
-    if value < 0:
-        raise KneeMCDMError(f"{EPSILON_ENV} must be >= 0, got {raw}")
-    return value
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -159,7 +147,16 @@ def _prepare(args) -> tuple:
 
 
 def _epsilon(args) -> float:
-    return args.epsilon if args.epsilon is not None else _default_epsilon()
+    """--epsilon, else $KNEE_MCDM_EPSILON, else the default; build_classes checks it."""
+    if args.epsilon is not None:
+        return args.epsilon
+    raw = os.environ.get(EPSILON_ENV)
+    if raw is None:
+        return DEFAULT_EPSILON
+    try:
+        return float(raw)
+    except ValueError:
+        raise KneeMCDMError(f"{EPSILON_ENV}={raw!r} is not a number") from None
 
 
 def _emit(args, text: str) -> None:
@@ -222,12 +219,11 @@ def cmd_rank(args) -> int:
     nf, _ = _prepare(args)
     ranking = rank(nf, _epsilon(args))
     if args.output_format == "json":
-        rows = ",\n".join(
-            f'  {{"rank": {k + 1}, "ids": {json.dumps(list(cls.ids))}, '
-            f'"mmd": {cls.mmd:.17g}, "ws": {cls.ws:.17g}}}'
+        rows = [
+            {"rank": k + 1, "ids": list(cls.ids), "mmd": cls.mmd, "ws": cls.ws}
             for k, (cls, _) in enumerate(ranking)
-        )
-        _emit(args, "[\n" + rows + "\n]\n")
+        ]
+        _emit(args, json.dumps(rows) + "\n")
     elif args.output_format == "csv":
         lines = ["rank,ids,mmd,ws"]
         for k, (cls, _) in enumerate(ranking):
@@ -275,12 +271,9 @@ def cmd_gen(args) -> int:
     spec = FrontSpec(
         family=args.family, samples=args.samples, seed=args.seed, noise=args.noise
     )
-    front = generate(spec)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            write_front(front, handle, format=args.format)
-    else:
-        write_front(front, sys.stdout, format=args.format)
+    text = io.StringIO()
+    write_front(generate(spec), text, format=args.format)
+    _emit(args, text.getvalue())
     return EXIT_OK
 
 

@@ -48,6 +48,14 @@ class AllDimensionsDegenerate(KneeMCDMError):
     """Every objective has zero spread: all solutions coincide, selection is vacuous."""
 
 
+class SpreadOverflow(KneeMCDMError):
+    """An objective's spread (max - min) is too large to represent as a float."""
+
+
+class InvalidEpsilon(KneeMCDMError, ValueError):
+    """The score-equality tolerance is negative or not finite."""
+
+
 class EquivalenceViolation(KneeMCDMError):
     """The selection rules disagreed on the winner class.
 

@@ -27,6 +27,7 @@ from .errors import (
     EmptyFront,
     NonFiniteValue,
     ParseError,
+    SpreadOverflow,
     UnknownId,
 )
 
@@ -91,6 +92,8 @@ class Front:
 
         seen: set[str] = set()
         for sid in ids:
+            if not sid:
+                raise ParseError("empty solution id")
             if sid in seen:
                 raise DuplicateId(sid)
             seen.add(sid)
@@ -223,12 +226,20 @@ def normalize(front: Front) -> NormalizedFront:
     Columns with zero spread are flagged degenerate: their normalized values
     are set to 0 so they contribute nothing to any score, and a
     DegenerateSpreadWarning is issued.  Raises AllDimensionsDegenerate when
-    several solutions coincide in every objective; a single-solution front is
-    allowed and trivially selects itself.
+    several solutions coincide in every objective (a single-solution front is
+    allowed and trivially selects itself), and SpreadOverflow when a column's
+    spread exceeds the float range.
     """
     f = front.objectives
     ell = f.min(axis=0)
-    L = f.max(axis=0) - ell
+    with np.errstate(over="ignore"):
+        L = f.max(axis=0) - ell
+    overflow = np.flatnonzero(~np.isfinite(L))
+    if len(overflow):
+        raise SpreadOverflow(
+            f"spread (max - min) of objective {front.objective_names[overflow[0]]!r} "
+            "overflows the float range"
+        )
     degenerate = np.flatnonzero(L == 0.0)
 
     if len(degenerate) == front.n and front.m > 1:
@@ -399,14 +410,19 @@ def _load_json(text: io.StringIO, overrides) -> Front:
             raise ParseError(f"bad solution record: {exc}") from None
         if not isinstance(f, list) or len(f) != len(names):
             raise ParseError(f"solution {ids[-1]!r}: expected {len(names)} objective values")
+        x = rec.get("x")
+        if x is not None and not isinstance(x, list):
+            raise ParseError(f'solution {ids[-1]!r}: "x" must be a list')
         try:
             values.append([float(v) for v in f])
+            xs.append(None if x is None else tuple(float(v) for v in x))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
-        x = rec.get("x")
-        xs.append(None if x is None else tuple(float(v) for v in x))
+    senses = doc.get("senses")
+    if senses is not None and not isinstance(senses, list):
+        raise ParseError(f'"senses" must be a list, got {senses!r}')
     decision = None if all(x is None for x in xs) else tuple(xs)
-    return _assemble(names, doc.get("senses"), overrides, ids, np.array(values), decision)
+    return _assemble(names, senses, overrides, ids, np.array(values), decision)
 
 
 def _assemble(names, file_senses, overrides, ids, values, decision) -> Front:
@@ -432,6 +448,9 @@ def write_front(front: Front, stream: IO, format: str = "csv") -> None:
     included.  CSV carries only ids and objective values; they are written in
     minimization form, so reloading with default senses reproduces the stored
     matrix (sense provenance and decision vectors do not fit the CSV schema).
+    CSV round-trips ids that are non-empty, have no leading or trailing
+    whitespace, do not start with ``#`` and contain no line breaks; commas
+    and quotes are quoted.
     """
     if format == "csv":
         _write_csv(front, stream)
@@ -442,9 +461,10 @@ def write_front(front: Front, stream: IO, format: str = "csv") -> None:
 
 
 def _write_csv(front: Front, stream: IO) -> None:
-    stream.write("id," + ",".join(front.objective_names) + "\n")
-    for sid, row in zip(front.ids, front.objectives):
-        stream.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["id", *front.objective_names])
+    for sid, row in zip(front.ids, front.objectives.tolist()):
+        writer.writerow([sid, *map(repr, row)])
 
 
 def _write_json(front: Front, stream: IO) -> None:

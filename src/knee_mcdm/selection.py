@@ -15,19 +15,24 @@ sum(ell/L), so both orderings coincide; the tournament compares exactly the
 same quantity pairwise, so its winner is independent of the pairing order.
 Solutions whose scores differ by less than a tolerance form one equivalence
 class and win or lose together.
+
+The selectors and ``rank`` are views over one partition, ``build_classes``,
+which is also the one place that validates the tolerance.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllDimensionsDegenerate, DegenerateDimension, EquivalenceViolation
+from .errors import DegenerateDimension, EquivalenceViolation, InvalidEpsilon
 from .front import NormalizedFront
 
 #: Default relative tolerance for grouping near-equal scores.
@@ -139,43 +144,20 @@ class Decision:
         return min(self.winner.ids)
 
     def to_json(self) -> str:
-        """Canonical JSON with fixed key order and 17-significant-digit numbers."""
-        out = ["{"]
-        out.append(f'  "method": {json.dumps(self.method)},')
-        out.append(f'  "winner_ids": {json.dumps(list(self.winner.ids))},')
-        knee_rows = ", ".join(
-            "[" + ", ".join(_num(v) for v in row) + "]" for row in self.knee
-        )
-        out.append(f'  "knee": [{knee_rows}],')
-        out.append(f'  "c_min_mmd": {_num(self.c_min_mmd)},')
-        out.append(f'  "c_min_ws": {_num(self.c_min_ws)},')
-        score_rows = ",\n".join(
-            f'    {{"id": {json.dumps(s.id)}, "mmd": {_num(s.mmd)}, "ws": {_num(s.ws)}}}'
-            for s in self.scores
-        )
-        tail = "," if self.trace is not None else ""
-        out.append(f'  "scores": [\n{score_rows}\n  ]{tail}')
+        """Compact JSON with fixed key order and shortest round-trip numbers."""
+        nf = self._nf
+        scores = zip(nf.base.ids, nf.mmd_scores.tolist(), nf.ws_scores.tolist())
+        doc = {
+            "method": self.method,
+            "winner_ids": list(self.winner.ids),
+            "knee": self.knee.tolist(),
+            "c_min_mmd": self.c_min_mmd,
+            "c_min_ws": self.c_min_ws,
+            "scores": [{"id": sid, "mmd": d, "ws": ws} for sid, d, ws in scores],
+        }
         if self.trace is not None:
-            rows = ",\n".join(
-                f'    {{"left": {r.left}, "right": {r.right}, '
-                f'"ip": {_num(r.ip)}, "winner": {r.winner}}}'
-                for r in self.trace
-            )
-            body = f"[\n{rows}\n  ]" if self.trace else "[]"
-            out.append(f'  "trace": {body}')
-        out.append("}")
-        return "\n".join(out)
-
-
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _check_scorable(nf: NormalizedFront) -> None:
-    if nf.base.m > 1 and len(nf.degenerate_dims) == nf.base.n:
-        raise AllDimensionsDegenerate(
-            "all objectives have zero spread; selection is vacuous"
-        )
+            doc["trace"] = [r._asdict() for r in self.trace]
+        return json.dumps(doc)
 
 
 def improvement_percentage(nf: NormalizedFront, i: str, j: str, dim: int) -> float:
@@ -205,44 +187,38 @@ def net_improvement(nf: NormalizedFront, i: str, j: str) -> float:
 def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> EquivalenceClasses:
     """Group solutions whose score sums coincide within tolerance.
 
-    Solutions are sorted by Manhattan distance from the ideal vector and a
-    new solution joins the current class while its distance stays within
-    ``epsilon * max(1, |rep|)`` of the class representative (the smallest
-    member).  Anchoring at the representative keeps the relation transitive
-    and bounds the spread of any class by one tolerance.  Clustering on
-    ideal-anchored distances rather than raw weighted sums keeps the grouping
-    scale-free when the raw values sit far from zero.
+    Solutions are sorted by Manhattan distance from the ideal vector (ties by
+    id) and a new solution joins the current class while its distance stays
+    within ``epsilon * max(1, |rep|)`` of the class representative (the
+    smallest member).  Anchoring at the representative keeps the relation
+    transitive and bounds the spread of any class by one tolerance.
+    Clustering on ideal-anchored distances rather than raw weighted sums
+    keeps the grouping scale-free when the raw values sit far from zero.
+
+    Raises InvalidEpsilon unless ``epsilon`` is finite and >= 0.
     """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    _check_scorable(nf)
-    d = nf.mmd_scores
-    ws = nf.ws_scores
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {epsilon!r}")
     ids = nf.base.ids
-    order = sorted(range(len(ids)), key=lambda k: (d[k], ids[k]))
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(nf.mmd_scores[by_id], kind="stable")].tolist()
+    d = nf.mmd_scores[order].tolist()
+    ws = nf.ws_scores[order].tolist()
+    sorted_ids = [ids[k] for k in order]
 
     classes: list[EquivalenceClass] = []
-    members: list[int] = []
-    rep = 0.0
-
-    def close():
-        classes.append(
-            EquivalenceClass(
-                ids=tuple(ids[k] for k in members),
-                mmd=float(d[members[0]]),
-                ws=float(ws[members[0]]),
-            )
-        )
-
-    for k in order:
-        if members and d[k] - rep <= epsilon * max(1.0, abs(rep)):
-            members.append(k)
-            continue
-        if members:
-            close()
-        members = [k]
-        rep = float(d[k])
-    close()
+    start = 0
+    while start < len(d):
+        rep = d[start]
+        tol = epsilon * max(1.0, abs(rep))
+        # rep + tol is rounded, so settle the end on the exact predicate
+        end = bisect_right(d, rep + tol, start)
+        while end < len(d) and d[end] - rep <= tol:
+            end = bisect_right(d, d[end], end)
+        while d[end - 1] - rep > tol:
+            end = bisect_left(d, d[end - 1], start)
+        classes.append(EquivalenceClass(tuple(sorted_ids[start:end]), rep, ws[start]))
+        start = end
     return EquivalenceClasses(classes=tuple(classes), epsilon=epsilon)
 
 
@@ -268,44 +244,16 @@ def _decision(
     )
 
 
-def _min_class(nf: NormalizedFront, epsilon: float) -> EquivalenceClass:
-    """The equivalence class of the minimum-distance solution.
-
-    A threshold mask around the minimum: identical to the first class of the
-    full partition (the clustering is anchored at class representatives), but
-    needs no sort and no walk over the remaining solutions.
-    """
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    _check_scorable(nf)
-    d = nf.mmd_scores
-    rep = float(d.min())
-    members = np.flatnonzero(d - rep <= epsilon * max(1.0, abs(rep)))
-    ids = nf.base.ids
-    order = sorted(members, key=lambda k: (d[k], ids[k]))
-    return EquivalenceClass(
-        ids=tuple(ids[k] for k in order),
-        mmd=rep,
-        ws=float(nf.ws_scores[order[0]]),
-    )
-
-
 def select_mmd(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:
     """Select the class of the row nearest the ideal vector in Manhattan distance."""
-    return _decision(nf, "mmd", _min_class(nf, epsilon), epsilon)
+    return _decision(nf, "mmd", build_classes(nf, epsilon)[0], epsilon)
 
 
 def select_ws(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:
     """Select the class of the row with the smallest spread-weighted sum."""
-    winner = _min_class(nf, epsilon)
+    classes = build_classes(nf, epsilon)
     best = nf.base.ids[int(np.argmin(nf.ws_scores))]
-    if best not in winner.ids:
-        # the weighted-sum minimizer can drift out of the minimum-distance
-        # cluster only through rounding on extreme scales; fall back to the
-        # full partition to report its actual class
-        classes = build_classes(nf, epsilon)
-        winner = classes[classes.class_index_of(best)]
-    return _decision(nf, "ws", winner, epsilon)
+    return _decision(nf, "ws", classes[classes.class_index_of(best)], epsilon)
 
 
 def select_dnc(
@@ -329,8 +277,8 @@ def select_dnc(
         survivors = []
         for a, b in zip(alive[::2], alive[1::2]):
             ip = 100.0 * (classes[a].mmd - classes[b].mmd)
-            # distinct classes are separated by construction
-            assert ip != 0.0, "tie between distinct classes"
+            if ip == 0.0:  # distinct classes are separated by construction
+                raise EquivalenceViolation(f"tie between distinct classes {a} and {b}")
             winner = b if ip > 0.0 else a
             trace.append(ComparisonRecord(left=a, right=b, ip=ip, winner=winner))
             survivors.append(winner)
@@ -345,8 +293,7 @@ def rank(
 ) -> list[tuple[EquivalenceClass, float]]:
     """All equivalence classes with their representative Manhattan distances,
     ascending; position 0 is the winner class."""
-    classes = build_classes(nf, epsilon)
-    return [(cls, cls.mmd) for cls in classes]
+    return [(cls, cls.mmd) for cls in build_classes(nf, epsilon)]
 
 
 @dataclass(frozen=True)
@@ -371,22 +318,16 @@ def verify_equivalence(
     """Run all three selectors (the tournament once per seed) and check that
     every winner class is identical and that c_min_ws - c_min_mmd equals the
     ideal offset within tolerance."""
-    issues: list[str] = []
     mmd = select_mmd(nf, epsilon)
-    ws = select_ws(nf, epsilon)
-    winners: dict[str, tuple[str, ...]] = {"mmd": mmd.winner_ids, "ws": ws.winner_ids}
-
-    reference = set(mmd.winner_ids)
-    if set(ws.winner_ids) != reference:
-        issues.append(f"ws winner {sorted(ws.winner_ids)} != mmd winner {sorted(reference)}")
+    winners = {"mmd": mmd.winner_ids, "ws": select_ws(nf, epsilon).winner_ids}
     for seed in seeds:
-        dnc = select_dnc(nf, epsilon, pairing_seed=seed)
-        winners[f"dnc@{seed}"] = dnc.winner_ids
-        if set(dnc.winner_ids) != reference:
-            issues.append(
-                f"dnc(seed={seed}) winner {sorted(dnc.winner_ids)} "
-                f"!= mmd winner {sorted(reference)}"
-            )
+        winners[f"dnc@{seed}"] = select_dnc(nf, epsilon, pairing_seed=seed).winner_ids
+    reference = sorted(mmd.winner_ids)
+    issues = [
+        f"{name} winner {sorted(ids)} != mmd winner {reference}"
+        for name, ids in winners.items()
+        if sorted(ids) != reference
+    ]
 
     offset = nf.ideal_offset
     gap = abs((mmd.c_min_ws - mmd.c_min_mmd) - offset)

@@ -36,3 +36,33 @@ def brute_force_nondominated(rows):
         if not dominated:
             keep.append(i)
     return keep
+
+
+def reference_partition(nf, epsilon):
+    """Equivalence classes as ``(ids, mmd, ws)`` tuples by a per-row walk.
+
+    Pure-python reference for the library's partition: rows sorted by
+    (Manhattan distance, id); a row joins the current class while its
+    distance stays within ``epsilon * max(1, |rep|)`` of the class's first
+    member.
+    """
+    d = nf.mmd_scores
+    ws = nf.ws_scores
+    ids = nf.base.ids
+    order = sorted(range(len(ids)), key=lambda k: (d[k], ids[k]))
+    classes = []
+    members = []
+    rep = 0.0
+    for k in order:
+        if members and d[k] - rep <= epsilon * max(1.0, abs(rep)):
+            members.append(k)
+            continue
+        if members:
+            classes.append(members)
+        members = [k]
+        rep = float(d[k])
+    classes.append(members)
+    return [
+        (tuple(ids[k] for k in members), float(d[members[0]]), float(ws[members[0]]))
+        for members in classes
+    ]

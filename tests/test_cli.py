@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import knee_mcdm
 from knee_mcdm import cli
 
 
@@ -228,6 +231,70 @@ def test_bad_epsilon_env_var(table1_csv, capsys, monkeypatch):
     code, _, err = run_cli(["select", "--input", table1_csv], capsys)
     assert code == 2
     assert "not a number" in err
+
+
+TWO_POINT_TIE = "id,f1,f2\na,0,1\nb,1,0\n"
+
+BAD_INPUTS = {
+    "spread-overflow.csv": "id,f1,f2\na,-1e308,1e308\nb,1e308,-1e308\nc,0,0\n",
+    "empty-id.csv": "id,f1,f2\n,0,1\nb,1,0\n",
+    "x-not-numbers.json": json.dumps(
+        {"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [0, 1], "x": ["u"]}]}
+    ),
+    "senses-string.json": json.dumps(
+        {"objectives": ["f1", "f2"], "senses": "min", "solutions": [{"id": "a", "f": [0, 1]}]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["select", "--method", m] for m in ("mmd", "ws", "dnc")] + [["rank"]],
+    ids=["mmd", "ws", "dnc", "rank"],
+)
+@pytest.mark.parametrize(
+    "flag, env",
+    [("-1", None), ("nan", None), (None, "nan")],
+    ids=["flag-negative", "flag-nan", "env-nan"],
+)
+def test_bad_epsilon_exits_2(command, flag, env, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tie.csv"
+    path.write_text(TWO_POINT_TIE)
+    args = command + ["--input", str(path)]
+    if flag is not None:
+        args += ["--epsilon", flag]
+    if env is not None:
+        monkeypatch.setenv(cli.EPSILON_ENV, env)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "epsilon must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(BAD_INPUTS[name])
+    fmt = path.suffix[1:]
+    code, _, err = run_cli(["select", "--input", str(path), "--format", fmt], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_errors_exit_2_under_optimized_interpreter(tmp_path):
+    # -O strips asserts: every check on these paths must raise regardless
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cases = [({cli.EPSILON_ENV: "nan"}, "tie.csv", TWO_POINT_TIE)]
+    cases += [({}, name, text) for name, text in BAD_INPUTS.items()]
+    for extra, name, text in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "knee_mcdm", "select", "--method", "dnc",
+             "--input", str(path), "--format", path.suffix[1:]],
+            capture_output=True, text=True, env={**env, **extra},
+        )
+        assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
 
 
 def test_verify_reports_violation_with_exit_4(table1_csv, capsys, monkeypatch):

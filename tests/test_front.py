@@ -13,6 +13,7 @@ from knee_mcdm import (
     EmptyFront,
     NonFiniteValue,
     ParseError,
+    SpreadOverflow,
     UnknownId,
     dominance_filter,
     load_front,
@@ -115,6 +116,52 @@ def test_load_json_overrides_beat_file_senses():
 def test_load_json_errors(doc):
     with pytest.raises((ParseError, EmptyFront)):
         load_front(doc, format="json")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [1, 2], "x": ["u"]}]}', "a"),
+        ('{"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [1, 2], "x": 3}]}', "x"),
+        ('{"objectives": ["f1", "f2"], "senses": "min", "solutions": [{"id": "a", "f": [1, 2]}]}', "senses"),
+    ],
+)
+def test_load_json_bad_x_or_senses(doc, field):
+    with pytest.raises(ParseError, match=field):
+        load_front(doc, format="json")
+
+
+def test_empty_id_rejected():
+    with pytest.raises(ParseError, match="empty solution id"):
+        load_front("id,f1,f2\n,0,1\nb,1,0\n")
+
+
+def test_normalize_spread_overflow_raises():
+    front = load_front("id,f1,f2\na,-1e308,1e308\nb,1e308,-1e308\nc,0,0\n")
+    with pytest.raises(SpreadOverflow, match="f1"):
+        normalize(front)
+
+
+_CSV_IDS = st.text(
+    st.one_of(
+        st.sampled_from(',"'),
+        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+    ),
+    min_size=1,
+    max_size=6,
+).filter(lambda s: s == s.strip() and not s.startswith("#"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), m=st.integers(1, 6), n=st.integers(2, 4))
+def test_round_trip_csv_property(data, m, n):
+    ids = data.draw(st.lists(_CSV_IDS, min_size=m, max_size=m, unique=True))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    front = make_front(rows, ids=ids)
+    buf = io.StringIO()
+    write_front(front, buf, format="csv")
+    assert load_front(buf.getvalue(), format="csv") == front
 
 
 def test_round_trip_csv_values():

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knee_mcdm import (
     AllDimensionsDegenerate,
     DegenerateDimension,
     DegenerateSpreadWarning,
+    EquivalenceViolation,
+    InvalidEpsilon,
     UnknownId,
     build_classes,
     improvement_percentage,
@@ -25,7 +29,7 @@ from knee_mcdm.generators import (
     random_nondominated_front,
 )
 
-from helpers import make_front
+from helpers import make_front, reference_partition
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +136,38 @@ def test_build_classes_epsilon_zero_exact_groups():
 def test_build_classes_rejects_negative_epsilon(table1_nf):
     with pytest.raises(ValueError):
         build_classes(table1_nf, epsilon=-1e-3)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.5])
+def test_build_classes_rejects_non_finite_or_negative_epsilon(table1_nf, eps):
+    with pytest.raises(InvalidEpsilon):
+        build_classes(table1_nf, epsilon=eps)
+    for select in (select_mmd, select_ws, select_dnc, rank):
+        with pytest.raises(InvalidEpsilon):
+            select(table1_nf, eps)
+
+
+@pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**31),
+    levels=st.sampled_from([0, 1, 2, 4, 7, 64]),
+    eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5]),
+)
+def test_build_classes_matches_reference_partition(m, n, seed, levels, eps):
+    # levels > 0: values on a coarse grid, so scores tie exactly and land
+    # exactly on the tolerance boundary; ids are shuffled against row order
+    if levels:
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, levels + 1, size=(m, n)) / levels
+        assume(m == 1 or np.ptp(rows, axis=0).any())
+        nf = normalize(make_front(rows, ids=[f"s{k}" for k in rng.permutation(m)]))
+    else:
+        nf = _random_nf(m, n, seed)
+    got = [(cls.ids, cls.mmd, cls.ws) for cls in build_classes(nf, epsilon=eps)]
+    assert got == reference_partition(nf, eps)
 
 
 @settings(max_examples=50, deadline=None)
@@ -260,6 +296,21 @@ def test_trace_records_are_consistent(table1_nf):
         assert rec.ip == pytest.approx(
             100.0 * (classes[rec.left].mmd - classes[rec.right].mmd)
         )
+
+
+def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
+    from knee_mcdm import selection
+
+    tied = selection.EquivalenceClasses(
+        classes=(
+            selection.EquivalenceClass(("x1",), 0.5, 0.6),
+            selection.EquivalenceClass(("x2",), 0.5, 0.6),
+        ),
+        epsilon=0.0,
+    )
+    monkeypatch.setattr(selection, "build_classes", lambda nf, epsilon: tied)
+    with pytest.raises(EquivalenceViolation):
+        select_dnc(table1_nf)
 
 
 # ------------------------------------------------------------------ rank
@@ -409,3 +460,22 @@ def test_decision_json_without_trace(table1_nf):
 def test_representative_is_lexicographic_min():
     nf = normalize(make_front([[0.0, 1.0], [1.0, 0.0]], ids=["zz", "aa"]))
     assert select_mmd(nf).representative == "aa"
+
+
+@pytest.mark.parametrize("select", [select_mmd, select_ws, select_dnc])
+def test_decision_json_equals_decision_fields(table1_nf, select):
+    decision = select(table1_nf)
+    expected = {
+        "method": decision.method,
+        "winner_ids": list(decision.winner_ids),
+        "knee": decision.knee.tolist(),
+        "c_min_mmd": decision.c_min_mmd,
+        "c_min_ws": decision.c_min_ws,
+        "scores": [s._asdict() for s in decision.scores],
+    }
+    if decision.trace is not None:
+        expected["trace"] = [r._asdict() for r in decision.trace]
+    doc = json.loads(decision.to_json())
+    assert doc == expected
+    # json.dumps keeps insertion order, so this also pins every key order
+    assert json.dumps(doc) == json.dumps(expected)
