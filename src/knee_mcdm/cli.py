@@ -12,6 +12,7 @@ violation, 5 plot dimensionality error.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -189,12 +190,20 @@ def _decision_text(decision: Decision, removed: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(header: list[str], rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
 def _decision_csv(decision: Decision) -> str:
     winner = set(decision.winner_ids)
-    lines = ["id,mmd,ws,winner"]
-    for s in decision.scores:
-        lines.append(f"{s.id},{s.mmd!r},{s.ws!r},{int(s.id in winner)}")
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        ["id", "mmd", "ws", "winner"],
+        ([s.id, repr(s.mmd), repr(s.ws), int(s.id in winner)] for s in decision.scores),
+    )
 
 
 def cmd_select(args) -> int:
@@ -225,10 +234,11 @@ def cmd_rank(args) -> int:
         ]
         _emit(args, json.dumps(rows) + "\n")
     elif args.output_format == "csv":
-        lines = ["rank,ids,mmd,ws"]
-        for k, (cls, _) in enumerate(ranking):
-            lines.append(f"{k + 1},{';'.join(cls.ids)},{cls.mmd!r},{cls.ws!r}")
-        _emit(args, "\n".join(lines) + "\n")
+        rows = (
+            [k + 1, ";".join(cls.ids), repr(cls.mmd), repr(cls.ws)]
+            for k, (cls, _) in enumerate(ranking)
+        )
+        _emit(args, _csv_text(["rank", "ids", "mmd", "ws"], rows))
     else:
         lines = [f"{'rank':>4}  {'mmd':>14}  {'ws':>14}  ids"]
         for k, (cls, _) in enumerate(ranking):

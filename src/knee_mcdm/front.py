@@ -273,6 +273,12 @@ def normalize(front: Front) -> NormalizedFront:
     )
 
 
+#: Rows per block in ``dominance_filter``.  The Python loop runs once per
+#: block, and one block's test allocates O(block * (K + block)) booleans for K
+#: rows kept so far.
+_FILTER_BLOCK = 64
+
+
 def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     """Drop every solution dominated by another one.
 
@@ -280,12 +286,45 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     least one.  Exact duplicates dominate nothing and are all kept.  Returns
     the surviving sub-front (input order preserved) and the removed ids in
     input order.
+
+    Sort-then-archive (Kung, Luccio & Preparata, JACM 1975): the rows are
+    lexsorted with column 0 as the primary key, so every dominator sorts
+    strictly before the rows it dominates and duplicates sort next to each
+    other.  The sorted rows are walked in blocks of ``_FILTER_BLOCK``.  Each
+    block is tested in one vectorised step against the archive of kept rows
+    found so far plus the block itself, and its survivors join the archive.
+    Testing against kept rows alone suffices: dominance is transitive, so
+    every dominated row is also dominated by a kept row sorted before it.  A
+    candidate row that is <= in every column dominates unless it equals the
+    tested row, which is how duplicates survive, also across blocks.
+
+    Cost: O(M log M + M * K * N) time and O(M * N + B * (K + B) * N) memory
+    for K kept rows and block size B, against O(M^2 * N) for both when every
+    pair is compared at once.
     """
     f = front.objectives
-    # le[j, i]: row j <= row i everywhere; lt[j, i]: row j < row i somewhere
-    le = np.all(f[:, None, :] <= f[None, :, :], axis=2)
-    lt = np.any(f[:, None, :] < f[None, :, :], axis=2)
-    dominated = np.any(le & lt, axis=0)
+    m, n = f.shape
+    order = np.lexsort(f.T[::-1])
+    rows = np.ascontiguousarray(f[order].T)  # one contiguous line per column
+    archive = np.empty_like(rows)
+    kept = 0
+    dominated = np.zeros(m, dtype=bool)
+    for start in range(0, m, _FILTER_BLOCK):
+        block = rows[:, start : start + _FILTER_BLOCK]
+        size = block.shape[1]
+        archive[:, kept : kept + size] = block
+        cand = archive[:, : kept + size]
+        # le[b, c]: candidate c <= block row b in every column
+        le = cand[0] <= block[0][:, None]
+        for col in range(1, n):
+            le &= cand[col] <= block[col][:, None]
+        b, c = np.nonzero(le)
+        lost = np.zeros(size, dtype=bool)
+        lost[b[(cand[:, c] != block[:, b]).any(axis=0)]] = True
+        survivors = block[:, ~lost]
+        archive[:, kept : kept + survivors.shape[1]] = survivors
+        kept += survivors.shape[1]
+        dominated[order[start : start + size]] = lost
     keep = np.flatnonzero(~dominated)
     removed = [front.ids[k] for k in np.flatnonzero(dominated)]
     return front.take(keep), removed
@@ -392,10 +431,13 @@ def _load_json(text: io.StringIO, overrides) -> Front:
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
-        names = [str(n) for n in doc["objectives"]]
+        objectives = doc["objectives"]
         solutions = doc["solutions"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"missing front field: {exc}") from None
+    if not isinstance(objectives, list):
+        raise ParseError(f'"objectives" must be a list, got {objectives!r}')
+    names = [str(n) for n in objectives]
     if len(names) < 2:
         raise ParseError("need at least 2 objectives")
     if not isinstance(solutions, list) or not solutions:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -68,6 +70,30 @@ def test_select_csv_scores_output(table1_csv, capsys):
     assert len(lines) == 17
     winners = [line for line in lines[1:] if line.endswith(",1")]
     assert len(winners) == 1 and winners[0].startswith("x6,")
+
+
+def test_csv_outputs_quote_ids(tmp_path, capsys):
+    path = tmp_path / "quoted.csv"
+    path.write_text('id,f1,f2\n"a,b",0,1\n"q""x",0.4,0.4\nc,1,0\n')
+    code, out, _ = run_cli(
+        ["select", "--input", str(path), "--output-format", "csv"], capsys
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["id", "mmd", "ws", "winner"]
+    assert [row[0] for row in rows[1:]] == ["a,b", 'q"x', "c"]
+    assert all(len(row) == 4 for row in rows)
+    assert [row[0] for row in rows[1:] if row[3] == "1"] == ['q"x']
+
+    code, out, _ = run_cli(
+        ["rank", "--input", str(path), "--output-format", "csv"], capsys
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["rank", "ids", "mmd", "ws"]
+    assert rows[1][:2] == ["1", 'q"x']
+    assert rows[2][:2] == ["2", "a,b;c"]
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_select_single_solution(tmp_path, capsys):
@@ -243,6 +269,9 @@ BAD_INPUTS = {
     ),
     "senses-string.json": json.dumps(
         {"objectives": ["f1", "f2"], "senses": "min", "solutions": [{"id": "a", "f": [0, 1]}]}
+    ),
+    "objectives-string.json": json.dumps(
+        {"objectives": "ab", "solutions": [{"id": "a", "f": [0, 1]}, {"id": "b", "f": [1, 0]}]}
     ),
 }
 

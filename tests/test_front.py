@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,46 @@ def test_dominance_filter_matches_oracle(m, n, seed):
     oracle = brute_force_nondominated(rows.tolist())
     assert [int(s[1:]) for s in kept.ids] == oracle
     assert len(removed) == m - len(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(65, 400),
+    n=st.integers(2, 6),
+    levels=st.integers(2, 8),
+    seed=st.integers(0, 2**31),
+)
+def test_dominance_filter_matches_oracle_across_blocks(m, n, levels, seed):
+    # M > 64 spans several filter blocks; quantised values give ties, and
+    # re-drawn rows give exact duplicates far apart in input and sort order
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, (m, n)) / levels
+    rows[rng.integers(0, m, m // 4)] = rows[rng.integers(0, m, m // 4)]
+    rows[:, rng.random(n) < 0.5] *= -1
+    kept, removed = dominance_filter(make_front(rows))
+    oracle = brute_force_nondominated(rows.tolist())
+    assert [int(s[1:]) for s in kept.ids] == oracle
+    dropped = sorted(set(range(m)) - set(oracle))
+    assert removed == [f"p{k}" for k in dropped]
+
+
+@pytest.mark.parametrize("shape", ["cube", "sphere-octant"])
+def test_dominance_filter_peak_memory(shape):
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0, 1, (5000, 5))
+    if shape == "sphere-octant":
+        rows = np.abs(rng.normal(size=(5000, 5)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    front = make_front(rows)
+    tracemalloc.start()
+    try:
+        _, removed = dominance_filter(front)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if shape == "sphere-octant":
+        assert removed == []  # K = M, the archive's worst case
+    assert peak < 16e6, peak / 1e6
 
 
 # ------------------------------------------------------------- normalize
