@@ -15,25 +15,19 @@ factor of each other).
 from __future__ import annotations
 
 import io
+import math
 import time
 from dataclasses import dataclass
 
 from .front import NormalizedFront, normalize
-from .generators import FrontSpec, generate, random_nondominated_front
+from .errors import InvalidSpec
+from .generators import SHAPE_FAMILIES, FrontSpec, generate, random_nondominated_front
 from .selection import select_dnc, select_mmd, select_ws, verify_equivalence
 
 METHODS = ("mmd", "ws", "dnc")
 
 _C1_REPS = (100, 300, 1000)
 _C2_SIZES = (25, 50, 100, 200)
-_C3_FAMILIES = (
-    "convex2d",
-    "concave2d",
-    "line2d",
-    "plane3d",
-    "sphere3d",
-    "disconnected2d",
-)
 
 
 @dataclass(frozen=True)
@@ -119,8 +113,8 @@ def _timing_row(category: str, label: str, nf: NormalizedFront, reps: int) -> Ti
 
 def run_bench(scale: float = 1.0, seed: int = 2024) -> BenchReport:
     """Run all three sweeps; ``scale`` multiplies every repetition count."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidSpec(f"scale must be finite and > 0, got {scale}")
     reps_of = lambda base: max(10, int(round(base * scale)))
     rows: list[TimingRow] = []
 
@@ -137,7 +131,7 @@ def run_bench(scale: float = 1.0, seed: int = 2024) -> BenchReport:
         nf = normalize(random_nondominated_front(m, 5, seed + m))
         rows.append(_timing_row("C2", f"sphere M={m} N=5", nf, reps_of(300)))
 
-    for family in _C3_FAMILIES:
+    for family in SHAPE_FAMILIES:
         nf = normalize(generate(FrontSpec(family=family, samples=50, seed=seed)))
         rows.append(_timing_row("C3", family, nf, reps_of(200)))
 

@@ -16,16 +16,19 @@ import csv
 import io
 import json
 import os
+import statistics
 import sys
 
 from . import __version__
 from .bench import run_bench
 from .errors import AllDimensionsDegenerate, EquivalenceViolation, KneeMCDMError
 from .front import Front, dominance_filter, load_front, normalize, write_front
-from .generators import FAMILIES, FrontSpec, generate, random_nondominated_front
+from .generators import FAMILIES, FrontSpec, agreement_corpus, generate
 from .selection import (
     DEFAULT_EPSILON,
+    DEFAULT_SEEDS,
     Decision,
+    build_classes,
     rank,
     select_dnc,
     select_mmd,
@@ -95,14 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         action="append",
-        help="tournament pairing seed (repeatable; default 1 2 3 4)",
+        help="tournament pairing seed (repeatable; default "
+        + " ".join(map(str, DEFAULT_SEEDS)) + ")",
     )
     p.add_argument(
         "--self-test",
         type=int,
         metavar="N",
         default=0,
-        help="also verify N generated random fronts",
+        help="also verify the first N fronts of the generated agreement corpus",
     )
 
     p = sub.add_parser("gen", help="write a benchmark front")
@@ -134,8 +138,9 @@ def _senses_arg(args) -> dict[str, str] | None:
 def _read_front(args) -> Front:
     senses = _senses_arg(args)
     if args.input == "-":
-        return load_front(sys.stdin, format=args.format, senses=senses)
-    with open(args.input, "r", encoding="utf-8") as handle:
+        stdin = getattr(sys.stdin, "buffer", sys.stdin)
+        return load_front(stdin, format=args.format, senses=senses)
+    with open(args.input, "rb") as handle:
         return load_front(handle, format=args.format, senses=senses)
 
 
@@ -224,6 +229,11 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
+def _escape_id(sid: str) -> str:
+    """Backslash-escape ``\\`` and ``;`` so ids joined by ``;`` stay apart."""
+    return sid.replace("\\", "\\\\").replace(";", "\\;")
+
+
 def cmd_rank(args) -> int:
     nf, _ = _prepare(args)
     ranking = rank(nf, _epsilon(args))
@@ -235,7 +245,7 @@ def cmd_rank(args) -> int:
         _emit(args, json.dumps(rows) + "\n")
     elif args.output_format == "csv":
         rows = (
-            [k + 1, ";".join(cls.ids), repr(cls.mmd), repr(cls.ws)]
+            [k + 1, ";".join(map(_escape_id, cls.ids)), repr(cls.mmd), repr(cls.ws)]
             for k, (cls, _) in enumerate(ranking)
         )
         _emit(args, _csv_text(["rank", "ids", "mmd", "ws"], rows))
@@ -250,29 +260,32 @@ def cmd_rank(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seeds = args.seed if args.seed else [1, 2, 3, 4]
+    if args.self_test < 0:
+        raise KneeMCDMError(f"--self-test must be >= 0, got {args.self_test}")
+    seeds = args.seed or DEFAULT_SEEDS
     eps = _epsilon(args)
     nf, _ = _prepare(args)
     report = verify_equivalence(nf, eps, seeds=seeds)
     lines = [f"input front: {'pass' if report.passed else 'FAIL'}"]
     lines += [f"  {issue}" for issue in report.issues]
 
-    failed_self_tests = 0
-    if args.self_test > 0:
-        for k in range(args.self_test):
-            m = 4 + (k * 7) % 61  # 4..64
-            n = 2 + k % 5  # 2..6
-            rnf = normalize(random_nondominated_front(m, n, seed=1000 + k))
-            sub = verify_equivalence(rnf, eps, seeds=seeds)
-            if not sub.passed:
-                failed_self_tests += 1
-                lines.append(f"  self-test {k} (M={m}, N={n}): FAIL")
-                lines += [f"    {issue}" for issue in sub.issues]
+    failed, classes = 0, []
+    for label, front in agreement_corpus(args.self_test):
+        cnf = normalize(front)
+        sub = verify_equivalence(cnf, eps, seeds=seeds)
+        classes.append(len(build_classes(cnf, eps)))
+        if not sub.passed:
+            failed += 1
+            lines.append(f"  self-test {label}: FAIL")
+            lines += [f"    {issue}" for issue in sub.issues]
+    if classes:
         lines.append(
-            f"self-test fronts: {args.self_test - failed_self_tests}/{args.self_test} pass"
+            f"self-test fronts: {len(classes) - failed}/{len(classes)} pass "
+            f"(classes per front: min {min(classes)}, "
+            f"median {statistics.median_high(classes)}, max {max(classes)})"
         )
     sys.stdout.write("\n".join(lines) + "\n")
-    if not report.passed or failed_self_tests:
+    if not report.passed or failed:
         return EXIT_VIOLATION
     return EXIT_OK
 

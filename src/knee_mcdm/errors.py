@@ -68,8 +68,8 @@ class EquivalenceViolation(KneeMCDMError):
         self.winners = dict(winners or {})
 
 
-class InvalidSpec(KneeMCDMError):
-    """Front generator parameters are out of range."""
+class InvalidSpec(KneeMCDMError, ValueError):
+    """Generator or bench parameters are out of range."""
 
 
 class NoExpectation(KneeMCDMError):

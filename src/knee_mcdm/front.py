@@ -85,6 +85,8 @@ class Front:
             raise ParseError(f"need at least 2 objectives, got {n}")
         if len(names) != n:
             raise ParseError(f"{len(names)} objective names for {n} columns")
+        if len(set(names)) != n:
+            raise ParseError(f"duplicate objective name in {names}")
         if len(senses) != n:
             raise ParseError(f"{len(senses)} senses for {n} columns")
         if len(ids) != m:
@@ -357,14 +359,14 @@ def _resolve_senses(
 
 
 def _as_text(source: IO | str | bytes) -> io.StringIO:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
+    data = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc}") from None
+    # universal newlines, as a file opened in text mode reads them
+    return io.StringIO(data, newline=None)
 
 
 def load_front(
@@ -392,11 +394,14 @@ def load_front(
 
 
 def _load_csv(text: io.StringIO, overrides) -> Front:
-    rows = [
-        row
-        for row in csv.reader(line for line in text if not line.lstrip().startswith("#"))
-        if row
-    ]
+    try:
+        rows = [
+            row
+            for row in csv.reader(line for line in text if not line.lstrip().startswith("#"))
+            if row
+        ]
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}") from None
     if not rows:
         raise EmptyFront("no header line")
     header = [cell.strip() for cell in rows[0]]
@@ -426,7 +431,8 @@ def _load_csv(text: io.StringIO, overrides) -> Front:
 def _load_json(text: io.StringIO, overrides) -> Front:
     try:
         doc = json.load(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and integer literals over the digit limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -458,7 +464,7 @@ def _load_json(text: io.StringIO, overrides) -> Front:
         try:
             values.append([float(v) for v in f])
             xs.append(None if x is None else tuple(float(v) for v in x))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
     senses = doc.get("senses")
     if senses is not None and not isinstance(senses, list):

@@ -22,8 +22,9 @@ samples.  Generation is deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,9 @@ FAMILIES = (
 )
 
 _FIXED_FAMILIES = {"table1", "table2like"}
+
+#: The families whose shape (not a fixed table) is drawn per seed.
+SHAPE_FAMILIES = tuple(f for f in FAMILIES if f not in _FIXED_FAMILIES)
 
 # Nondominated parameter stretches of the five-segment discontinuous curve.
 _DISCONNECTED_SEGMENTS = (
@@ -92,8 +96,8 @@ class FrontSpec:
             raise InvalidSpec(f"unknown family {self.family!r}; pick one of {FAMILIES}")
         if self.samples < 2:
             raise InvalidSpec(f"samples must be >= 2, got {self.samples}")
-        if self.noise < 0.0:
-            raise InvalidSpec(f"noise must be >= 0, got {self.noise}")
+        if not (math.isfinite(self.noise) and self.noise >= 0.0):
+            raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
         if self.family in _FIXED_FAMILIES:
             if self.samples != 16:
                 raise InvalidSpec(f"{self.family} is a fixed 16-point front")
@@ -218,6 +222,21 @@ def random_nondominated_front(samples: int, dims: int, seed: int) -> Front:
         ids=tuple(f"p{k}" for k in range(samples)),
         objectives=values,
     )
+
+
+def agreement_corpus(count: int) -> Iterator[tuple[str, Front]]:
+    """Yield ``count`` labelled fronts for checking that the selection rules
+    agree.  Front ``k`` is seeded with ``k``: every third one is a shape
+    family (cycling through ``SHAPE_FAMILIES``, 8..47 samples), the others are
+    sphere-octant clouds with 2..64 rows and 2..6 objectives."""
+    for k in range(count):
+        if k % 3 == 0:
+            family = SHAPE_FAMILIES[(k // 3) % len(SHAPE_FAMILIES)]
+            spec = FrontSpec(family=family, samples=8 + k % 40, seed=k)
+            yield f"{family}[{k}]", generate(spec)
+        else:
+            m, n = 2 + k % 63, 2 + k % 5
+            yield f"sphere(M={m},N={n})[{k}]", random_nondominated_front(m, n, seed=k)
 
 
 class Expectation(NamedTuple):

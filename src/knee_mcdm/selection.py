@@ -38,6 +38,9 @@ from .front import NormalizedFront
 #: Default relative tolerance for grouping near-equal scores.
 DEFAULT_EPSILON = 1e-9
 
+#: Tournament pairing seeds ``verify_equivalence`` tries by default.
+DEFAULT_SEEDS = (1, 2, 3, 4)
+
 #: Tolerance (scaled by max(1, |offset|)) for the ws-minus-mmd constant check.
 OFFSET_TOL = 1e-9
 
@@ -313,7 +316,7 @@ class EquivalenceReport:
 def verify_equivalence(
     nf: NormalizedFront,
     epsilon: float = DEFAULT_EPSILON,
-    seeds: Sequence[int] = (1, 2, 3, 4),
+    seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> EquivalenceReport:
     """Run all three selectors (the tournament once per seed) and check that
     every winner class is identical and that c_min_ws - c_min_mmd equals the

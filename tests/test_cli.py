@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knee_mcdm
 from knee_mcdm import cli
@@ -176,6 +179,38 @@ def test_verify_self_test(table1_csv, capsys):
     assert "self-test fronts: 10/10 pass" in out
 
 
+def test_verify_self_test_reports_labels_and_class_counts(table1_csv, capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["verify", "--input", table1_csv, "--self-test", "3"], capsys
+    )
+    assert code == 0
+    assert out.endswith(
+        "self-test fronts: 3/3 pass (classes per front: min 3, median 4, max 7)\n"
+    )
+
+    from knee_mcdm.selection import EquivalenceReport
+
+    def failing_verify(nf, eps, seeds):
+        return EquivalenceReport(False, {}, 0.0, ("stub issue",))
+
+    monkeypatch.setattr(cli, "verify_equivalence", failing_verify)
+    code, out, _ = run_cli(
+        ["verify", "--input", table1_csv, "--self-test", "2"], capsys
+    )
+    assert code == 4
+    assert "  self-test convex2d[0]: FAIL\n    stub issue\n" in out
+    assert "  self-test sphere(M=3,N=3)[1]: FAIL\n" in out
+    assert "self-test fronts: 0/2 pass" in out
+
+
+def test_verify_negative_self_test_exits_2(table1_csv, capsys):
+    code, out, err = run_cli(
+        ["verify", "--input", table1_csv, "--self-test", "-1"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "--self-test must be >= 0" in err
+
+
 def test_corrupt_input_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("id,f1,f2\na,1\n")
@@ -233,6 +268,44 @@ def test_gen_json_and_stdin_select(tmp_path, capsys, monkeypatch):
     assert len(doc["solutions"]) == 6
 
 
+def test_select_reads_utf8_only(tmp_path, capsys, monkeypatch):
+    def from_stdin(stdin):
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return run_cli(["select", "--input", "-"], capsys)
+
+    code, out, _ = from_stdin(io.TextIOWrapper(io.BytesIO(TWO_POINT_TIE.encode())))
+    assert code == 0 and "winner ids: a b\n" in out
+    code, out, _ = from_stdin(io.StringIO(TWO_POINT_TIE))  # no .buffer
+    assert code == 0 and "winner ids: a b\n" in out
+
+    latin1 = b"id,f1,f2\n\xe9,0,1\nb,1,0\n"
+    code, out, err = from_stdin(io.TextIOWrapper(io.BytesIO(latin1)))
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(latin1)
+    code, out, err = run_cli(["select", "--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "not UTF-8" in err
+
+
+def test_rank_csv_escapes_id_separator(tmp_path, capsys):
+    def class_cell(front_text):
+        path = tmp_path / "front.csv"
+        path.write_text("id,f1,f2\nw,0.1,0.6\n" + front_text)
+        code, out, _ = run_cli(
+            ["rank", "--input", str(path), "--output-format", "csv"], capsys
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[1] for row in rows[:2]] == ["ids", "w"] and len(rows) == 3
+        return rows[2][1]
+
+    assert class_cell("a;b,0,1\nc,1,0\n") == "a\\;b;c"
+    assert class_cell("a,0,1\nb,0.5,0.5\nc,1,0\n") == "a;b;c"
+    assert class_cell("a\\,0,1\nb,1,0\n") == "a\\\\;b"
+
+
 def test_epsilon_env_var(tmp_path, capsys, monkeypatch):
     # interior solutions scored 1e-7 apart: the default epsilon keeps them
     # separate, the env override merges them into one winner class
@@ -273,6 +346,11 @@ BAD_INPUTS = {
     "objectives-string.json": json.dumps(
         {"objectives": "ab", "solutions": [{"id": "a", "f": [0, 1]}, {"id": "b", "f": [1, 0]}]}
     ),
+    "deep.json": "[" * 100000 + "]" * 100000,
+    "duplicate-names.csv": "id,a,a\nx,0,1\ny,1,0\n",
+    "huge-cell.csv": "id,f1,f2\n" + "a" * 200000 + ",0,1\nb,1,0\n",
+    "huge-int.json": '{"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [1'
+    + "0" * 5000 + ", 0]}]}",
 }
 
 
@@ -350,6 +428,48 @@ def test_bench_quick_run(capsys):
     assert code == 0
     assert "dnc slower than mmd/ws" in out
     assert "C1" in out and "C2" in out and "C3" in out
+
+
+@pytest.mark.parametrize("scale", ["0", "nan", "inf"])
+def test_bench_bad_scale_exits_2(scale, capsys):
+    code, out, err = run_cli(["bench", "--scale", scale], capsys)
+    assert code == 2 and out == ""
+    assert "scale must be finite and > 0" in err
+
+
+FUZZ_SEEDS = {
+    "csv": b"id,f1,f2\na,0,1\nb,1,0\nc,0.2,0.7\n",
+    "json": b'{"objectives":["f1","f2"],"solutions":[{"id":"a","f":[0,1]},'
+    b'{"id":"b","f":[1,0]},{"id":"c","f":[0.2,0.7],"x":[1]}]}',
+}
+FUZZ_TOKENS = [
+    b"", b"id", b"f1", b"f2", b"a", b"\n", b"\r", b" ", b".", b"-", b"e", b"nan",
+    *(bytes([c]) for c in b"0123456789,;\"#"), b"\x00", b"\xff", b"\xc3",
+    b"[", b"]", b"{", b"}", b'"senses"', b'"min"', b"a,0,1\n", b'{"id":"a","f":[0,1]},',
+]
+
+
+@st.composite
+def fuzzed_front(draw):
+    """A valid CSV or JSON front with up to five byte ranges replaced by tokens."""
+    fmt = draw(st.sampled_from(sorted(FUZZ_SEEDS)))
+    data = FUZZ_SEEDS[fmt]
+    for _ in range(draw(st.integers(0, 5))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 4)))
+        data = data[:start] + draw(st.sampled_from(FUZZ_TOKENS)) + data[end:]
+    return fmt, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(front=fuzzed_front(), method=st.sampled_from(["mmd", "ws", "dnc"]))
+def test_fuzzed_input_exits_cleanly(tmp_path_factory, front, method):
+    fmt, data = front
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{fmt}"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["select", "--method", method, "--input", str(path), "--format", fmt])
+    assert code in (0, 2, 3)
 
 
 def test_module_entry_point_version():

@@ -25,6 +25,7 @@ from knee_mcdm.generators import _DISCONNECTED_SEGMENTS, FAMILIES, TABLE1_ROWS
         {"family": "table2like", "noise": 0.1},
         {"family": "plane3d", "samples": 2},
         {"family": "sphere3d", "samples": 2},
+        {"family": "convex2d", "noise": float("nan")},
     ],
 )
 def test_invalid_specs(kwargs):
