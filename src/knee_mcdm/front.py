@@ -85,6 +85,8 @@ class Front:
             raise ParseError(f"need at least 2 objectives, got {n}")
         if len(names) != n:
             raise ParseError(f"{len(names)} objective names for {n} columns")
+        if "" in names:
+            raise ParseError(f"empty objective name in {names}")
         if len(set(names)) != n:
             raise ParseError(f"duplicate objective name in {names}")
         if len(senses) != n:
@@ -291,41 +293,59 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
 
     Sort-then-archive (Kung, Luccio & Preparata, JACM 1975): the rows are
     lexsorted with column 0 as the primary key, so every dominator sorts
-    strictly before the rows it dominates and duplicates sort next to each
-    other.  The sorted rows are walked in blocks of ``_FILTER_BLOCK``.  Each
-    block is tested in one vectorised step against the archive of kept rows
-    found so far plus the block itself, and its survivors join the archive.
-    Testing against kept rows alone suffices: dominance is transitive, so
-    every dominated row is also dominated by a kept row sorted before it.  A
-    candidate row that is <= in every column dominates unless it equals the
-    tested row, which is how duplicates survive, also across blocks.
+    strictly before the rows it dominates and exact duplicates form one run
+    of adjacent sorted rows.  The sorted rows are walked in blocks of
+    ``_FILTER_BLOCK``.  Each block is tested in one vectorised step against
+    the candidates: the archive of kept rows found so far plus the block
+    itself.  Testing against kept rows alone suffices: dominance is
+    transitive, so every dominated row is also dominated by a kept row
+    sorted before it.
 
-    Cost: O(M log M + M * K * N) time and O(M * N + B * (K + B) * N) memory
-    for K kept rows and block size B, against O(M^2 * N) for both when every
-    pair is compared at once.
+    A candidate dominates a block row exactly when it is <= in every column
+    and sorts before the row's duplicate run: a row that is <= everywhere
+    and not equal sorts strictly before, and a row before the run is not a
+    duplicate.  Candidates keep their sorted order, so those sorted before
+    the run are a prefix of the candidate list, found by one
+    ``searchsorted`` per block, and a block row is dominated when its first
+    <= candidate lies in that prefix.  Every candidate in the prefix is
+    <= in column 0 by the sort, so the <= test runs over columns 1..N-1
+    only; nothing is done per pair beyond that test.
+
+    Cost: O(M log M + M * K * (N - 1)) time and O(M * N + B * (K + B))
+    memory for K kept rows and block size B, against O(M^2 * N) for both
+    when every pair is compared at once.
     """
     f = front.objectives
     m, n = f.shape
     order = np.lexsort(f.T[::-1])
     rows = np.ascontiguousarray(f[order].T)  # one contiguous line per column
+    # first[p]: the sorted position where the run of rows equal to row p begins
+    run_start = np.ones(m, dtype=bool)
+    run_start[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    first = np.maximum.accumulate(np.where(run_start, np.arange(m), 0))
     archive = np.empty_like(rows)
+    pos = np.empty(m, dtype=np.intp)  # sorted position of each archived row
     kept = 0
     dominated = np.zeros(m, dtype=bool)
     for start in range(0, m, _FILTER_BLOCK):
         block = rows[:, start : start + _FILTER_BLOCK]
         size = block.shape[1]
+        block_pos = np.arange(start, start + size)
         archive[:, kept : kept + size] = block
+        pos[kept : kept + size] = block_pos
         cand = archive[:, : kept + size]
-        # le[b, c]: candidate c <= block row b in every column
-        le = cand[0] <= block[0][:, None]
-        for col in range(1, n):
+        # le[b, c]: candidate c <= block row b in columns 1..N-1
+        le = cand[1] <= block[1][:, None]
+        for col in range(2, n):
             le &= cand[col] <= block[col][:, None]
-        b, c = np.nonzero(le)
-        lost = np.zeros(size, dtype=bool)
-        lost[b[(cand[:, c] != block[:, b]).any(axis=0)]] = True
-        survivors = block[:, ~lost]
-        archive[:, kept : kept + survivors.shape[1]] = survivors
-        kept += survivors.shape[1]
+        # candidates sorted before row b's duplicate run; le[b, b] is true
+        limit = np.searchsorted(pos[: kept + size], first[start : start + size])
+        lost = le.argmax(axis=1) < limit
+        survivors = ~lost
+        gained = int(survivors.sum())
+        archive[:, kept : kept + gained] = block[:, survivors]
+        pos[kept : kept + gained] = block_pos[survivors]
+        kept += gained
         dominated[order[start : start + size]] = lost
     keep = np.flatnonzero(~dominated)
     removed = [front.ids[k] for k in np.flatnonzero(dominated)]
@@ -437,13 +457,12 @@ def _load_json(text: io.StringIO, overrides) -> Front:
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
-        objectives = doc["objectives"]
+        names = doc["objectives"]
         solutions = doc["solutions"]
     except KeyError as exc:
         raise ParseError(f"missing front field: {exc}") from None
-    if not isinstance(objectives, list):
-        raise ParseError(f'"objectives" must be a list, got {objectives!r}')
-    names = [str(n) for n in objectives]
+    if not isinstance(names, list) or set(map(type, names)) - {str}:
+        raise ParseError(f'"objectives" must be a list of strings, got {names!r}')
     if len(names) < 2:
         raise ParseError("need at least 2 objectives")
     if not isinstance(solutions, list) or not solutions:
@@ -452,18 +471,25 @@ def _load_json(text: io.StringIO, overrides) -> Front:
     ids, values, xs = [], [], []
     for rec in solutions:
         try:
-            ids.append(str(rec["id"]))
+            sid = rec["id"]
             f = rec["f"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad solution record: {exc}") from None
+        # bool is a subclass of int, but not an id
+        if type(sid) is not str and type(sid) is not int:
+            raise ParseError(f"solution id must be a string or an integer, got {sid!r}")
+        ids.append(str(sid))
         if not isinstance(f, list) or len(f) != len(names):
             raise ParseError(f"solution {ids[-1]!r}: expected {len(names)} objective values")
         x = rec.get("x")
         if x is not None and not isinstance(x, list):
             raise ParseError(f'solution {ids[-1]!r}: "x" must be a list')
+        # float() would read true/false as 1.0/0.0
+        if bool in map(type, f) or (x is not None and bool in map(type, x)):
+            raise ParseError(f"solution {ids[-1]!r}: values must be numbers, not booleans")
         try:
-            values.append([float(v) for v in f])
-            xs.append(None if x is None else tuple(float(v) for v in x))
+            values.append(list(map(float, f)))
+            xs.append(None if x is None else tuple(map(float, x)))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
     senses = doc.get("senses")

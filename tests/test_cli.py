@@ -351,6 +351,21 @@ BAD_INPUTS = {
     "huge-cell.csv": "id,f1,f2\n" + "a" * 200000 + ",0,1\nb,1,0\n",
     "huge-int.json": '{"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [1'
     + "0" * 5000 + ", 0]}]}",
+    "empty-name.csv": "id,a,\nx,0,1\ny,1,0\n",
+    **{
+        f"{name}.json": json.dumps(
+            {"objectives": names, "solutions": [{"id": "b", "f": [1, 0]}, {"id": sid, "f": f, **x}]}
+        )
+        for name, names, sid, f, x in [
+            ("id-null", ["f1", "f2"], None, [0, 1], {}),
+            ("id-bool", ["f1", "f2"], True, [0, 1], {}),
+            ("id-list", ["f1", "f2"], ["a"], [0, 1], {}),
+            ("id-object", ["f1", "f2"], {"a": 1}, [0, 1], {}),
+            ("f-bool", ["f1", "f2"], "a", [False, True], {}),
+            ("x-bool", ["f1", "f2"], "a", [0, 1], {"x": [True]}),
+            ("objective-name-null", [None, "f2"], "a", [0, 1], {}),
+        ]
+    },
 }
 
 

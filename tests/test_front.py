@@ -132,6 +132,15 @@ def test_load_json_bad_x_or_senses(doc, field):
         load_front(doc, format="json")
 
 
+def test_load_json_integer_ids_accepted_other_numbers_not():
+    records = [{"id": 7, "f": [0, 1]}, {"id": "b", "f": [1, 0]}]
+    doc = {"objectives": ["f1", "f2"], "solutions": records}
+    assert load_front(json.dumps(doc), format="json").ids == ("7", "b")
+    records[0]["id"] = 1.5
+    with pytest.raises(ParseError, match="string or an integer"):
+        load_front(json.dumps(doc), format="json")
+
+
 def test_empty_id_rejected():
     with pytest.raises(ParseError, match="empty solution id"):
         load_front("id,f1,f2\n,0,1\nb,1,0\n")
@@ -283,6 +292,40 @@ def test_dominance_filter_matches_oracle_across_blocks(m, n, levels, seed):
     assert [int(s[1:]) for s in kept.ids] == oracle
     dropped = sorted(set(range(m)) - set(oracle))
     assert removed == [f"p{k}" for k in dropped]
+
+
+def _block_boundary_rows(case):
+    """Two-column rows placed around the filter's first 64-row block boundary.
+
+    Returns the rows and the indices of those expected to be removed.  The
+    ``count`` fillers (k, 100 - k) sort first, are mutually nondominated and
+    dominate none of the rows after them.
+    """
+    if case == "run":
+        # five copies of (62, 0) at sorted positions 62..66, then rows that
+        # only the copies dominate (one ties them in column 0)
+        count, special = 62, [[62, 0]] * 5 + [[62, 1], [63, 0], [70, 5]]
+        removed = [67, 68, 69]
+    else:
+        # (63, 1) at sorted position 64 ties its only dominator (63, 0),
+        # which sorts last in the first block, in column 0
+        count, special = 63, [[63, 0], [63, 1]]
+        removed = [64]
+    return [[k, 100 - k] for k in range(count)] + special, removed
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("case", ["run", "tie"])
+def test_dominance_filter_block_boundary(case, n):
+    rows, removed_rows = _block_boundary_rows(case)
+    rows = np.array(rows, dtype=float)
+    # extra columns that order the rows like column 1 keep every dominance
+    # relation; with n=2 the <= test past column 0 compares one column
+    rows = np.hstack([rows] + [rows[:, 1:] * (k + 1) for k in range(n - 2)])
+    perm = np.random.default_rng(0).permutation(len(rows))  # input order != sort order
+    kept, removed = dominance_filter(make_front(rows[perm]))
+    assert [int(s[1:]) for s in kept.ids] == brute_force_nondominated(rows[perm].tolist())
+    assert sorted(int(perm[int(s[1:])]) for s in removed) == removed_rows
 
 
 @pytest.mark.parametrize("shape", ["cube", "sphere-octant"])
