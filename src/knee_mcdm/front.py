@@ -71,11 +71,28 @@ class Front:
     decision_vectors: tuple[tuple[float, ...] | None, ...] | None = None
 
     def __post_init__(self):
-        names = tuple(str(n) for n in self.objective_names)
-        senses = tuple(_canonical_sense(s) for s in self.senses)
-        ids = tuple(str(i) for i in self.ids)
-        f = np.array(self.objectives, dtype=float)
+        xs = self.decision_vectors
+        if xs is not None:
+            xs = tuple(None if x is None else tuple(float(v) for v in x) for x in xs)
+        self._check_and_set(
+            tuple(str(n) for n in self.objective_names),
+            tuple(_canonical_sense(s) for s in self.senses),
+            tuple(str(i) for i in self.ids),
+            np.array(self.objectives, dtype=float),
+            xs,
+        )
 
+    @classmethod
+    def _trusted(cls, names, senses, ids, objectives, decision_vectors) -> "Front":
+        """A front from values that are already converted: str names and ids,
+        canonical senses, a float array (kept, not copied, and made
+        read-only) and tuple-of-float decision vectors.  Runs every check
+        the public constructor runs."""
+        front = object.__new__(cls)
+        front._check_and_set(names, senses, ids, objectives, decision_vectors)
+        return front
+
+    def _check_and_set(self, names, senses, ids, f, xs) -> None:
         if f.ndim != 2:
             raise ParseError(f"objective matrix must be 2-D, got shape {f.shape}")
         m, n = f.shape
@@ -94,24 +111,24 @@ class Front:
         if len(ids) != m:
             raise ParseError(f"{len(ids)} ids for {m} rows")
 
-        seen: set[str] = set()
-        for sid in ids:
-            if not sid:
-                raise ParseError("empty solution id")
-            if sid in seen:
-                raise DuplicateId(sid)
-            seen.add(sid)
+        unique = set(ids)
+        if len(unique) != m or "" in unique:
+            # walk the ids only to name the first culprit
+            seen: set[str] = set()
+            for sid in ids:
+                if not sid:
+                    raise ParseError("empty solution id")
+                if sid in seen:
+                    raise DuplicateId(sid)
+                seen.add(sid)
 
         bad = ~np.isfinite(f)
         if bad.any():
             row, col = np.argwhere(bad)[0]
             raise NonFiniteValue(ids[row], names[col])
 
-        xs = self.decision_vectors
-        if xs is not None:
-            xs = tuple(None if x is None else tuple(float(v) for v in x) for x in xs)
-            if len(xs) != m:
-                raise ParseError(f"{len(xs)} decision vectors for {m} rows")
+        if xs is not None and len(xs) != m:
+            raise ParseError(f"{len(xs)} decision vectors for {m} rows")
 
         f.flags.writeable = False
         object.__setattr__(self, "objective_names", names)
@@ -144,12 +161,12 @@ class Front:
         xs = None
         if self.decision_vectors is not None:
             xs = tuple(self.decision_vectors[k] for k in idx)
-        return Front(
-            objective_names=self.objective_names,
-            senses=self.senses,
-            ids=tuple(self.ids[k] for k in idx),
-            objectives=self.objectives[idx],
-            decision_vectors=xs,
+        return Front._trusted(
+            self.objective_names,
+            self.senses,
+            tuple(self.ids[k] for k in idx),
+            self.objectives[idx],
+            xs,
         )
 
     def __eq__(self, other) -> bool:
@@ -448,6 +465,10 @@ def _load_csv(text: io.StringIO, overrides) -> Front:
     return _assemble(names, None, overrides, ids, np.array(values), None)
 
 
+#: Python types ``json`` gives JSON numbers; bool, a subclass of int, is excluded.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _load_json(text: io.StringIO, overrides) -> Front:
     try:
         doc = json.load(text)
@@ -484,13 +505,15 @@ def _load_json(text: io.StringIO, overrides) -> Front:
         x = rec.get("x")
         if x is not None and not isinstance(x, list):
             raise ParseError(f'solution {ids[-1]!r}: "x" must be a list')
-        # float() would read true/false as 1.0/0.0
-        if bool in map(type, f) or (x is not None and bool in map(type, x)):
-            raise ParseError(f"solution {ids[-1]!r}: values must be numbers, not booleans")
+        # float() would also read "1_0" as 10.0 and true as 1.0
+        if not _NUMBER_TYPES.issuperset(map(type, f)) or (
+            x is not None and not _NUMBER_TYPES.issuperset(map(type, x))
+        ):
+            raise ParseError(f"solution {ids[-1]!r}: values must be JSON numbers")
         try:
             values.append(list(map(float, f)))
             xs.append(None if x is None else tuple(map(float, x)))
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:  # an integer beyond the float range
             raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
     senses = doc.get("senses")
     if senses is not None and not isinstance(senses, list):
@@ -502,16 +525,9 @@ def _load_json(text: io.StringIO, overrides) -> Front:
 def _assemble(names, file_senses, overrides, ids, values, decision) -> Front:
     senses = _resolve_senses(names, file_senses, overrides)
     flip = [k for k, s in enumerate(senses) if s == SENSE_MAX]
-    if flip:
-        values = values.copy()
+    if flip:  # values is the loader's own array
         values[:, flip] = -values[:, flip]
-    return Front(
-        objective_names=tuple(names),
-        senses=senses,
-        ids=tuple(ids),
-        objectives=values,
-        decision_vectors=decision,
-    )
+    return Front._trusted(tuple(names), senses, tuple(ids), values, decision)
 
 
 def write_front(front: Front, stream: IO, format: str = "csv") -> None:

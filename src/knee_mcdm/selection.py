@@ -28,6 +28,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -81,32 +82,74 @@ class EquivalenceClass:
         return len(self.ids)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EquivalenceClasses:
     """Partition of a front's solutions into score-equivalence classes,
-    sorted ascending by representative Manhattan distance."""
+    sorted ascending by representative Manhattan distance.
 
-    classes: tuple[EquivalenceClass, ...]
+    The partition is stored as columns, not as one object per class:
+
+    * ``ids``: every solution id, class by class, each class in (mmd, id)
+      order;
+    * ``starts``: class bounds, so class ``k`` holds
+      ``ids[starts[k]:starts[k + 1]]``; ``starts[-1] == len(ids)``;
+    * ``mmd`` and ``ws``: the representative's scores, one float per class;
+    * ``epsilon``: the tolerance the classes were built with.
+
+    Indexing and iteration build ``EquivalenceClass`` objects on access.
+    ``EquivalenceClasses(classes, epsilon)`` converts a sequence of
+    ``EquivalenceClass`` objects to the same columns.
+    """
+
+    ids: tuple[str, ...]
+    starts: tuple[int, ...]
+    mmd: tuple[float, ...]
+    ws: tuple[float, ...]
     epsilon: float
 
+    def __init__(self, classes: Sequence[EquivalenceClass], epsilon: float) -> None:
+        classes = tuple(classes)
+        starts = [0]
+        for cls in classes:
+            starts.append(starts[-1] + len(cls.ids))
+        self._set(
+            tuple(sid for cls in classes for sid in cls.ids),
+            tuple(starts),
+            tuple(float(cls.mmd) for cls in classes),
+            tuple(float(cls.ws) for cls in classes),
+            epsilon,
+        )
+
+    @classmethod
+    def _from_columns(cls, ids, starts, mmd, ws, epsilon) -> "EquivalenceClasses":
+        self = object.__new__(cls)
+        self._set(ids, starts, mmd, ws, epsilon)
+        return self
+
+    def _set(self, *columns) -> None:
+        for name, value in zip(("ids", "starts", "mmd", "ws", "epsilon"), columns):
+            object.__setattr__(self, name, value)
+
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.mmd)
 
     def __iter__(self) -> Iterator[EquivalenceClass]:
-        return iter(self.classes)
+        return map(self.__getitem__, range(len(self.mmd)))
 
     def __getitem__(self, k: int) -> EquivalenceClass:
-        return self.classes[k]
-
-    @cached_property
-    def _class_of(self) -> dict[str, int]:
-        return {sid: k for k, cls in enumerate(self.classes) for sid in cls.ids}
+        k = range(len(self.mmd))[k]  # negative indices and IndexError, as a tuple
+        a, b = self.starts[k], self.starts[k + 1]
+        return EquivalenceClass(self.ids[a:b], self.mmd[k], self.ws[k])
 
     def class_index_of(self, solution_id: str) -> int:
-        return self._class_of[solution_id]
+        try:
+            pos = self.ids.index(solution_id)
+        except ValueError:
+            raise KeyError(solution_id) from None
+        return bisect_right(self.starts, pos) - 1
 
     def all_ids(self) -> tuple[str, ...]:
-        return tuple(sid for cls in self.classes for sid in cls.ids)
+        return self.ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,20 +190,48 @@ class Decision:
         return min(self.winner.ids)
 
     def to_json(self) -> str:
-        """Compact JSON with fixed key order and shortest round-trip numbers."""
+        """Compact JSON with fixed key order and shortest round-trip numbers.
+
+        The output is byte-identical to ``json.dumps`` of the dict with keys
+        method, winner_ids, knee, c_min_mmd, c_min_ws, scores (one
+        ``{"id", "mmd", "ws"}`` object per row) and, for dnc, trace (one
+        ``{"left", "right", "ip", "winner"}`` object per comparison).
+        ``json.dumps`` writes the head; the two long lists are joined from
+        ``%``-templates in C, one call per record instead of one dict per
+        record.  ``%r`` writes a float exactly as ``json.dumps`` does only
+        when it is finite, and every value here is: ``Front`` rejects
+        non-finite objectives and ``normalize`` a non-finite spread, so each
+        mmd lies in [0, N]; a nonzero spread is at least one unit in the
+        last place of its column's largest magnitude, so ``|f/L| <= 2**53``
+        and each ws is a sum of N bounded terms; and each trace ip is 100
+        times the difference of two representatives' mmd.
+        """
         nf = self._nf
-        scores = zip(nf.base.ids, nf.mmd_scores.tolist(), nf.ws_scores.tolist())
-        doc = {
-            "method": self.method,
-            "winner_ids": list(self.winner.ids),
-            "knee": self.knee.tolist(),
-            "c_min_mmd": self.c_min_mmd,
-            "c_min_ws": self.c_min_ws,
-            "scores": [{"id": sid, "mmd": d, "ws": ws} for sid, d, ws in scores],
-        }
+        head = json.dumps(
+            {
+                "method": self.method,
+                "winner_ids": list(self.winner.ids),
+                "knee": self.knee.tolist(),
+                "c_min_mmd": self.c_min_mmd,
+                "c_min_ws": self.c_min_ws,
+            }
+        )
+        scores = zip(
+            map(encode_basestring_ascii, nf.base.ids),
+            nf.mmd_scores.tolist(),
+            nf.ws_scores.tolist(),
+        )
+        parts = [head[:-1], ', "scores": [', ", ".join(map(_SCORE_JSON.__mod__, scores))]
         if self.trace is not None:
-            doc["trace"] = [r._asdict() for r in self.trace]
-        return json.dumps(doc)
+            parts += ['], "trace": [', ", ".join(map(_RECORD_JSON.__mod__, self.trace))]
+        parts.append("]}")
+        return "".join(parts)
+
+
+#: ``json.dumps`` layout of one ``SolutionScore`` and one ``ComparisonRecord``
+#: (the id is already encoded).
+_SCORE_JSON = '{"id": %s, "mmd": %r, "ws": %r}'
+_RECORD_JSON = '{"left": %d, "right": %d, "ip": %r, "winner": %d}'
 
 
 def improvement_percentage(nf: NormalizedFront, i: str, j: str, dim: int) -> float:
@@ -198,31 +269,64 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
     Clustering on ideal-anchored distances rather than raw weighted sums
     keeps the grouping scale-free when the raw values sit far from zero.
 
+    Most class bounds are found in one vectorised step.  Distances are >= 0,
+    so in sorted order a gap ``d[k] - d[k-1] > epsilon * max(1, d[k-1])``
+    always starts a class: the representative of ``k-1``'s class is
+    ``<= d[k-1]``, floating-point subtraction and scaling are monotone, so
+    ``d[k]`` lies even further beyond the representative's tolerance.  Only
+    inside a gap-free segment of more than one row does the exact walk run,
+    jumping member run to member run with ``bisect``.  The order by id is
+    settled only within runs of exactly equal distance.
+
     Raises InvalidEpsilon unless ``epsilon`` is finite and >= 0.
     """
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {epsilon!r}")
     ids = nf.base.ids
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    order = by_id[np.argsort(nf.mmd_scores[by_id], kind="stable")].tolist()
-    d = nf.mmd_scores[order].tolist()
-    ws = nf.ws_scores[order].tolist()
-    sorted_ids = [ids[k] for k in order]
+    m = len(ids)
+    order = np.argsort(nf.mmd_scores, kind="stable")
+    d_sorted = nf.mmd_scores[order]
+    step = d_sorted[1:] - d_sorted[:-1]
+    if not step.all():
+        # the id decides the order only inside runs of exactly equal distance
+        tied = np.flatnonzero(step == 0.0)  # d_sorted[k] == d_sorted[k + 1]
+        cut = np.flatnonzero(np.diff(tied) > 1)
+        run_lo = tied[np.concatenate(([0], cut + 1))]
+        run_hi = tied[np.concatenate((cut, [-1]))] + 2
+        order = order.tolist()
+        for a, b in zip(run_lo.tolist(), run_hi.tolist()):
+            order[a:b] = sorted(order[a:b], key=ids.__getitem__)
+        order = np.array(order, dtype=np.intp)
 
-    classes: list[EquivalenceClass] = []
-    start = 0
-    while start < len(d):
-        rep = d[start]
-        tol = epsilon * max(1.0, abs(rep))
-        # rep + tol is rounded, so settle the end on the exact predicate
-        end = bisect_right(d, rep + tol, start)
-        while end < len(d) and d[end] - rep <= tol:
-            end = bisect_right(d, d[end], end)
-        while d[end - 1] - rep > tol:
-            end = bisect_left(d, d[end - 1], start)
-        classes.append(EquivalenceClass(tuple(sorted_ids[start:end]), rep, ws[start]))
-        start = end
-    return EquivalenceClasses(classes=tuple(classes), epsilon=epsilon)
+    # a class starts at every gap; only gap-free segments need the exact walk
+    is_start = np.empty(m, dtype=bool)
+    is_start[0] = True
+    np.greater(step, epsilon * np.maximum(1.0, d_sorted[:-1]), out=is_start[1:])
+    if not is_start.all():
+        d = d_sorted.tolist()
+        bounds = [*is_start.nonzero()[0].tolist(), m]
+        for start, hi in zip(bounds, bounds[1:]):
+            while hi - start > 1:
+                rep = d[start]
+                tol = epsilon * max(1.0, abs(rep))
+                # rep + tol is rounded, so settle the end on the exact predicate
+                end = bisect_right(d, rep + tol, start, hi)
+                while end < hi and d[end] - rep <= tol:
+                    end = bisect_right(d, d[end], end, hi)
+                while d[end - 1] - rep > tol:
+                    end = bisect_left(d, d[end - 1], start, hi)
+                if end == hi:
+                    break
+                is_start[end] = True
+                start = end
+    starts = is_start.nonzero()[0]
+    return EquivalenceClasses._from_columns(
+        tuple(map(ids.__getitem__, order.tolist())),
+        (*starts.tolist(), m),
+        tuple(d_sorted[starts].tolist()),
+        tuple(nf.ws_scores[order[starts]].tolist()),
+        epsilon,
+    )
 
 
 def _decision(
@@ -275,11 +379,12 @@ def select_dnc(
     alive = list(range(len(classes)))
     random.Random(pairing_seed).shuffle(alive)
 
+    mmd = classes.mmd
     trace: list[ComparisonRecord] = []
     while len(alive) > 1:
         survivors = []
         for a, b in zip(alive[::2], alive[1::2]):
-            ip = 100.0 * (classes[a].mmd - classes[b].mmd)
+            ip = 100.0 * (mmd[a] - mmd[b])
             if ip == 0.0:  # distinct classes are separated by construction
                 raise EquivalenceViolation(f"tie between distinct classes {a} and {b}")
             winner = b if ip > 0.0 else a

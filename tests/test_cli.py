@@ -363,6 +363,8 @@ BAD_INPUTS = {
             ("id-object", ["f1", "f2"], {"a": 1}, [0, 1], {}),
             ("f-bool", ["f1", "f2"], "a", [False, True], {}),
             ("x-bool", ["f1", "f2"], "a", [0, 1], {"x": [True]}),
+            ("f-string", ["f1", "f2"], "a", ["1_0", " 2 "], {}),
+            ("x-string", ["f1", "f2"], "a", [0, 1], {"x": ["7"]}),
             ("objective-name-null", [None, "f2"], "a", [0, 1], {}),
         ]
     },

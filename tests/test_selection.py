@@ -170,6 +170,56 @@ def test_build_classes_matches_reference_partition(m, n, seed, levels, eps):
     assert got == reference_partition(nf, eps)
 
 
+@pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(200, 2000),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**31),
+    levels=st.sampled_from([0, 2, 7, 64, 1000]),
+    eps=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 0.5]),
+)
+def test_build_classes_matches_reference_partition_at_scale(m, n, seed, levels, eps):
+    # long gap-free segments, long runs of exact ties and many classes at once
+    if levels:
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, levels + 1, size=(m, n)) / levels
+        assume(np.ptp(rows, axis=0).any())
+        nf = normalize(make_front(rows, ids=[f"s{k}" for k in rng.permutation(m)]))
+    else:
+        nf = _random_nf(m, n, seed)
+    got = [(cls.ids, cls.mmd, cls.ws) for cls in build_classes(nf, epsilon=eps)]
+    assert got == reference_partition(nf, eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 0.05])
+def test_equivalence_classes_constructor_matches_build_classes(eps):
+    from knee_mcdm import selection
+
+    rows = np.round(np.random.default_rng(3).random((300, 4)), 1)
+    nf = normalize(make_front(rows))
+    built = build_classes(nf, eps)
+    made = selection.EquivalenceClasses(tuple(built), eps)
+    assert len(made) == len(built) > 1
+    assert list(made) == list(built)
+    for k in (0, 1, len(built) - 1, -1, -len(built)):
+        assert made[k] == built[k]
+    assert built[-1] == built[len(built) - 1]
+    for classes in (made, built):
+        with pytest.raises(IndexError):
+            classes[len(built)]
+        with pytest.raises(IndexError):
+            classes[-len(built) - 1]
+        with pytest.raises(KeyError):
+            classes.class_index_of("no such id")
+    for sid in nf.base.ids:
+        assert made.class_index_of(sid) == built.class_index_of(sid)
+        assert sid in built[built.class_index_of(sid)].ids
+    assert made.all_ids() == built.all_ids()
+    assert sorted(built.all_ids()) == sorted(nf.base.ids)
+    assert made.epsilon == built.epsilon == eps
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     m=st.integers(1, 40),
@@ -479,3 +529,52 @@ def test_decision_json_equals_decision_fields(table1_nf, select):
     assert doc == expected
     # json.dumps keeps insertion order, so this also pins every key order
     assert json.dumps(doc) == json.dumps(expected)
+
+
+_JSON_IDS = st.lists(
+    st.text(
+        st.one_of(
+            st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'),
+            st.characters(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=12,
+    unique=True,
+)
+_WIDE_FLOATS = st.builds(
+    lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+    st.floats(1.0, 9.99),
+    st.integers(-300, 299),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
+@settings(max_examples=150, deadline=None)
+@given(ids=_JSON_IDS, n=st.integers(2, 4), data=st.data())
+def test_decision_json_is_byte_identical_to_json_dumps(ids, n, data):
+    rows = np.array(
+        data.draw(st.lists(st.lists(_WIDE_FLOATS, min_size=n, max_size=n),
+                           min_size=len(ids), max_size=len(ids)))
+    )
+    assume(len(ids) == 1 or np.ptp(rows, axis=0).any())
+    nf = normalize(make_front(rows, ids=ids))
+    seed = data.draw(st.integers(0, 100))
+    for decision in (select_mmd(nf), select_ws(nf), select_dnc(nf, pairing_seed=seed)):
+        expected = {
+            "method": decision.method,
+            "winner_ids": list(decision.winner_ids),
+            "knee": decision.knee.tolist(),
+            "c_min_mmd": decision.c_min_mmd,
+            "c_min_ws": decision.c_min_ws,
+            "scores": [{"id": s.id, "mmd": s.mmd, "ws": s.ws} for s in decision.scores],
+        }
+        if decision.trace is not None:
+            expected["trace"] = [
+                {"left": r.left, "right": r.right, "ip": r.ip, "winner": r.winner}
+                for r in decision.trace
+            ]
+        assert decision.to_json() == json.dumps(expected)
