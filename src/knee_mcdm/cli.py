@@ -22,7 +22,7 @@ import sys
 from . import __version__
 from .bench import run_bench
 from .errors import AllDimensionsDegenerate, EquivalenceViolation, KneeMCDMError
-from .front import Front, dominance_filter, load_front, normalize, write_front
+from .front import Front, NormalizedFront, dominance_filter, load_front, normalize, write_front
 from .generators import FAMILIES, FrontSpec, agreement_corpus, generate
 from .selection import (
     DEFAULT_EPSILON,
@@ -203,12 +203,11 @@ def _csv_text(header: list[str], rows) -> str:
     return text.getvalue()
 
 
-def _decision_csv(decision: Decision) -> str:
-    winner = set(decision.winner_ids)
-    return _csv_text(
-        ["id", "mmd", "ws", "winner"],
-        ([s.id, repr(s.mmd), repr(s.ws), int(s.id in winner)] for s in decision.scores),
-    )
+def _decision_csv(nf: NormalizedFront, decision: Decision) -> str:
+    ids, winner = nf.base.ids, set(decision.winner_ids)
+    flags = (int(sid in winner) for sid in ids)
+    rows = zip(ids, map(repr, nf.mmd_scores.tolist()), map(repr, nf.ws_scores.tolist()), flags)
+    return _csv_text(["id", "mmd", "ws", "winner"], rows)
 
 
 def cmd_select(args) -> int:
@@ -223,7 +222,7 @@ def cmd_select(args) -> int:
     if args.output_format == "json":
         _emit(args, decision.to_json() + "\n")
     elif args.output_format == "csv":
-        _emit(args, _decision_csv(decision))
+        _emit(args, _decision_csv(nf, decision))
     else:
         _emit(args, _decision_text(decision, removed))
     return EXIT_OK

@@ -402,8 +402,9 @@ def _as_text(source: IO | str | bytes) -> io.StringIO:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from None
-    # universal newlines, as a file opened in text mode reads them
-    return io.StringIO(data, newline=None)
+    # one leading byte order mark, as spreadsheet exports write it; universal
+    # newlines, as a file opened in text mode reads them
+    return io.StringIO(data.removeprefix("\ufeff"), newline=None)
 
 
 def load_front(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -269,14 +269,13 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
     Clustering on ideal-anchored distances rather than raw weighted sums
     keeps the grouping scale-free when the raw values sit far from zero.
 
-    Most class bounds are found in one vectorised step.  Distances are >= 0,
-    so in sorted order a gap ``d[k] - d[k-1] > epsilon * max(1, d[k-1])``
-    always starts a class: the representative of ``k-1``'s class is
-    ``<= d[k-1]``, floating-point subtraction and scaling are monotone, so
-    ``d[k]`` lies even further beyond the representative's tolerance.  Only
-    inside a gap-free segment of more than one row does the exact walk run,
-    jumping member run to member run with ``bisect``.  The order by id is
-    settled only within runs of exactly equal distance.
+    One vectorised step computes the tolerance ``epsilon * max(1, d[k])`` of
+    every sorted distance (distances are >= 0).  If every sorted step
+    ``d[k] - d[k-1]`` exceeds the tolerance of ``d[k-1]``, each row is its
+    own class: that is the predicate with each row as its own representative,
+    and no exact tie can exist, as a zero step exceeds no tolerance.
+    Otherwise runs of exactly equal distance are ordered by id and one walk
+    applies the predicate of ``tests/helpers.reference_partition`` row by row.
 
     Raises InvalidEpsilon unless ``epsilon`` is finite and >= 0.
     """
@@ -286,40 +285,29 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
     m = len(ids)
     order = np.argsort(nf.mmd_scores, kind="stable")
     d_sorted = nf.mmd_scores[order]
+    tol = epsilon * np.maximum(1.0, d_sorted)  # d >= 0, so |d| == d
     step = d_sorted[1:] - d_sorted[:-1]
-    if not step.all():
-        # the id decides the order only inside runs of exactly equal distance
-        tied = np.flatnonzero(step == 0.0)  # d_sorted[k] == d_sorted[k + 1]
-        cut = np.flatnonzero(np.diff(tied) > 1)
-        run_lo = tied[np.concatenate(([0], cut + 1))]
-        run_hi = tied[np.concatenate((cut, [-1]))] + 2
-        order = order.tolist()
-        for a, b in zip(run_lo.tolist(), run_hi.tolist()):
-            order[a:b] = sorted(order[a:b], key=ids.__getitem__)
-        order = np.array(order, dtype=np.intp)
-
-    # a class starts at every gap; only gap-free segments need the exact walk
-    is_start = np.empty(m, dtype=bool)
-    is_start[0] = True
-    np.greater(step, epsilon * np.maximum(1.0, d_sorted[:-1]), out=is_start[1:])
-    if not is_start.all():
-        d = d_sorted.tolist()
-        bounds = [*is_start.nonzero()[0].tolist(), m]
-        for start, hi in zip(bounds, bounds[1:]):
-            while hi - start > 1:
-                rep = d[start]
-                tol = epsilon * max(1.0, abs(rep))
-                # rep + tol is rounded, so settle the end on the exact predicate
-                end = bisect_right(d, rep + tol, start, hi)
-                while end < hi and d[end] - rep <= tol:
-                    end = bisect_right(d, d[end], end, hi)
-                while d[end - 1] - rep > tol:
-                    end = bisect_left(d, d[end - 1], start, hi)
-                if end == hi:
-                    break
-                is_start[end] = True
-                start = end
-    starts = is_start.nonzero()[0]
+    if (step > tol[:-1]).all():
+        starts = np.arange(m)
+    else:
+        if not step.all():
+            # the id decides the order only inside runs of exactly equal distance
+            tied = np.flatnonzero(step == 0.0)  # d_sorted[k] == d_sorted[k + 1]
+            cut = np.flatnonzero(np.diff(tied) > 1)
+            run_lo = tied[np.concatenate(([0], cut + 1))]
+            run_hi = tied[np.concatenate((cut, [-1]))] + 2
+            order = order.tolist()
+            for a, b in zip(run_lo.tolist(), run_hi.tolist()):
+                order[a:b] = sorted(order[a:b], key=ids.__getitem__)
+            order = np.array(order, dtype=np.intp)
+        d, tol = d_sorted.tolist(), tol.tolist()
+        starts = [0]
+        rep, rep_tol = d[0], tol[0]
+        for k, dk in enumerate(d):
+            if dk - rep > rep_tol:
+                starts.append(k)
+                rep, rep_tol = dk, tol[k]
+        starts = np.array(starts, dtype=np.intp)
     return EquivalenceClasses._from_columns(
         tuple(map(ids.__getitem__, order.tolist())),
         (*starts.tolist(), m),

@@ -289,6 +289,27 @@ def test_select_reads_utf8_only(tmp_path, capsys, monkeypatch):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_leading_byte_order_mark_is_dropped(fmt, tmp_path, capsys, monkeypatch):
+    code, text, _ = run_cli(["gen", "--family", "table1", "--format", fmt], capsys)
+    assert code == 0
+    args = ["select", "--format", fmt, "--output-format", "json", "--input"]
+    results = []
+    for data in (text, "\ufeff" + text):
+        path = tmp_path / f"front.{fmt}"
+        path.write_text(data, encoding="utf-8")
+        results.append(run_cli([*args, str(path)], capsys))
+        for stdin in (io.TextIOWrapper(io.BytesIO(data.encode())), io.StringIO(data)):
+            monkeypatch.setattr(sys, "stdin", stdin)
+            results.append(run_cli([*args, "-"], capsys))
+    assert results[0][0] == 0
+    assert all(result == results[0] for result in results)
+
+    plain, marked = (knee_mcdm.load_front(s, format=fmt) for s in (text, "\ufeff" + text))
+    assert marked.ids == plain.ids and marked.objective_names == plain.objective_names
+    assert marked.objectives.tolist() == plain.objectives.tolist()
+
+
 def test_rank_csv_escapes_id_separator(tmp_path, capsys):
     def class_cell(front_text):
         path = tmp_path / "front.csv"

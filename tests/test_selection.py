@@ -192,6 +192,35 @@ def test_build_classes_matches_reference_partition_at_scale(m, n, seed, levels, 
     assert got == reference_partition(nf, eps)
 
 
+@pytest.mark.parametrize(
+    "rows, ids, eps, expected",
+    [
+        pytest.param(  # d = 0, .25, .5, 2: a step equal to the tolerance joins,
+            # and p2 is within tolerance of p1 but not of the representative p0
+            [[0, 0], [0.25, 0], [0.5, 0], [1, 1]], None, 0.25,
+            [("p0", "p1"), ("p2",), ("p3",)], id="boundary-and-anchor",
+        ),
+        pytest.param(  # d = 0, 2, 2.5, 3: the tolerance scales with |rep| > 1
+            [[0, 0, 0], [1, 1, 0], [1, 1, 0.5], [1, 1, 1]], None, 0.25,
+            [("p0",), ("p1", "p2"), ("p3",)], id="scaled-tolerance",
+        ),
+        pytest.param(  # d = 1, 1, 1, .5: an exact-tie run, ids in reverse row order
+            [[1, 0], [0.5, 0.5], [0, 1], [0.25, 0.25]], ["d", "c", "b", "a"], 0.0,
+            [("a",), ("b", "c", "d")], id="tie-run-by-id",
+        ),
+        pytest.param(  # d = 0, .3, .3 + 1e-12, 2: one near-tie among gaps
+            [[0, 0], [0.3, 0], [0.3, 1e-12], [1, 1]], None, 1e-9,
+            [("p0",), ("p1", "p2"), ("p3",)], id="near-tie-among-gaps",
+        ),
+    ],
+)
+def test_build_classes_deterministic_cases(rows, ids, eps, expected):
+    nf = normalize(make_front(rows, ids=ids))
+    got = [(cls.ids, cls.mmd, cls.ws) for cls in build_classes(nf, epsilon=eps)]
+    assert [cls_ids for cls_ids, _, _ in got] == expected
+    assert got == reference_partition(nf, eps)
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.05])
 def test_equivalence_classes_constructor_matches_build_classes(eps):
     from knee_mcdm import selection

@@ -1,7 +1,11 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from knee_mcdm import FrontSpec, generate, normalize, select_mmd
 from knee_mcdm.svgplot import render_decision_svg
+
+from helpers import make_front
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +42,16 @@ def test_svg_rejects_non_2d():
     nf = normalize(generate(FrontSpec(family="sphere3d", samples=10, seed=2)))
     with pytest.raises(ValueError):
         render_decision_svg(nf, select_mmd(nf))
+
+
+def test_svg_escapes_ids_and_names():
+    nf = normalize(make_front(
+        [[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]], ids=["R&D", "a<b", "c"], names=["cost&risk", "f<2>"]
+    ))
+    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    ns = "{http://www.w3.org/2000/svg}"
+    titles = sorted(t.text for t in root.iter(f"{ns}title"))
+    assert titles == ["R&D", "a<b (winner)", "c"]
+    texts = [t.text for t in root.iter(f"{ns}text")]
+    assert texts[:2] == ["cost&risk (normalized)", "f<2> (normalized)"]
+    assert "winner={a<b}" in texts[2]
