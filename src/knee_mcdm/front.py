@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -395,16 +396,15 @@ def _resolve_senses(
     return tuple(_canonical_sense(s) for s in overrides)
 
 
-def _as_text(source: IO | str | bytes) -> io.StringIO:
+def _as_text(source: IO | str | bytes) -> str:
     data = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not UTF-8: {exc}") from None
-    # one leading byte order mark, as spreadsheet exports write it; universal
-    # newlines, as a file opened in text mode reads them
-    return io.StringIO(data.removeprefix("\ufeff"), newline=None)
+    # one leading byte order mark, as spreadsheet exports write it
+    return data.removeprefix("\ufeff")
 
 
 def load_front(
@@ -431,11 +431,13 @@ def load_front(
     raise ParseError(f"unknown front format {format!r}")
 
 
-def _load_csv(text: io.StringIO, overrides) -> Front:
+def _load_csv(text: str, overrides) -> Front:
+    # universal newlines, as a file opened in text mode reads them
+    lines = io.StringIO(text, newline=None)
     try:
         rows = [
             row
-            for row in csv.reader(line for line in text if not line.lstrip().startswith("#"))
+            for row in csv.reader(line for line in lines if not line.lstrip().startswith("#"))
             if row
         ]
     except csv.Error as exc:
@@ -470,9 +472,9 @@ def _load_csv(text: io.StringIO, overrides) -> Front:
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _load_json(text: io.StringIO, overrides) -> Front:
+def _load_json(text: str, overrides) -> Front:
     try:
-        doc = json.load(text)
+        doc = json.loads(text)
     # ValueError covers JSONDecodeError and integer literals over the digit limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
@@ -523,7 +525,16 @@ def _load_json(text: io.StringIO, overrides) -> Front:
     return _assemble(names, senses, overrides, ids, np.array(values), decision)
 
 
+#: Code points a str can hold but UTF-8 cannot encode; a JSON ``\ud800``
+#: escape gives one, and no UTF-8 writer could print it back.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _assemble(names, file_senses, overrides, ids, values, decision) -> Front:
+    for kind, texts in (("objective name", names), ("solution id", ids)):
+        if _LONE_SURROGATE.search("".join(texts)):
+            culprit = next(filter(_LONE_SURROGATE.search, texts))
+            raise ParseError(f"{kind} {culprit!r} holds a lone surrogate, not UTF-8 text")
     senses = _resolve_senses(names, file_senses, overrides)
     flip = [k for k, s in enumerate(senses) if s == SENSE_MAX]
     if flip:  # values is the loader's own array

@@ -154,22 +154,35 @@ class EquivalenceClasses:
 
 @dataclass(frozen=True, eq=False)
 class Decision:
-    """Outcome of one selection run.
+    """Outcome of one selection run: a view over the winner class and the
+    normalized front it was selected from.
 
-    ``winner`` is always a whole equivalence class; ``knee`` holds the raw
-    objective rows of its members in the same order as ``winner.ids``.
-    ``scores`` lists every solution in front row order (computed on first
-    access).  ``trace`` is only populated by the tournament selector.
+    ``winner`` is always a whole equivalence class; ``trace`` is only
+    populated by the tournament selector.  Derived on first access: ``knee``,
+    the raw objective rows of the winner's members in ``winner.ids`` order
+    (read-only); ``c_min_mmd`` and ``c_min_ws``, the smallest Manhattan
+    distance and weighted sum over the front; ``scores``, every solution in
+    front row order.
     """
 
     method: str
     winner: EquivalenceClass
-    knee: np.ndarray
-    c_min_mmd: float
-    c_min_ws: float
-    epsilon: float
     _nf: NormalizedFront = field(repr=False)
     trace: tuple[ComparisonRecord, ...] | None = None
+
+    @cached_property
+    def knee(self) -> np.ndarray:
+        knee = self._nf.base.objectives[list(map(self._nf.index_of, self.winner.ids))]
+        knee.flags.writeable = False
+        return knee
+
+    @cached_property
+    def c_min_mmd(self) -> float:
+        return float(self._nf.mmd_scores.min())
+
+    @cached_property
+    def c_min_ws(self) -> float:
+        return float(self._nf.ws_scores.min())
 
     @cached_property
     def scores(self) -> tuple[SolutionScore, ...]:
@@ -317,38 +330,16 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
     )
 
 
-def _decision(
-    nf: NormalizedFront,
-    method: str,
-    winner: EquivalenceClass,
-    epsilon: float,
-    trace: tuple[ComparisonRecord, ...] | None = None,
-) -> Decision:
-    rows = [nf.index_of(sid) for sid in winner.ids]
-    knee = nf.base.objectives[rows]
-    knee.flags.writeable = False
-    return Decision(
-        method=method,
-        winner=winner,
-        knee=knee,
-        c_min_mmd=float(nf.mmd_scores.min()),
-        c_min_ws=float(nf.ws_scores.min()),
-        epsilon=epsilon,
-        _nf=nf,
-        trace=trace,
-    )
-
-
 def select_mmd(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:
     """Select the class of the row nearest the ideal vector in Manhattan distance."""
-    return _decision(nf, "mmd", build_classes(nf, epsilon)[0], epsilon)
+    return Decision("mmd", build_classes(nf, epsilon)[0], nf)
 
 
 def select_ws(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:
     """Select the class of the row with the smallest spread-weighted sum."""
     classes = build_classes(nf, epsilon)
     best = nf.base.ids[int(np.argmin(nf.ws_scores))]
-    return _decision(nf, "ws", classes[classes.class_index_of(best)], epsilon)
+    return Decision("ws", classes[classes.class_index_of(best)], nf)
 
 
 def select_dnc(
@@ -381,7 +372,7 @@ def select_dnc(
         if len(alive) % 2:
             survivors.append(alive[-1])
         alive = survivors
-    return _decision(nf, "dnc", classes[alive[0]], epsilon, trace=tuple(trace))
+    return Decision("dnc", classes[alive[0]], nf, tuple(trace))
 
 
 def rank(

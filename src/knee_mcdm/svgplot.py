@@ -4,11 +4,13 @@ Shows every normalized sample, the normalized ideal point, the winner-class
 samples, and the Manhattan ball (a rhombus centred on the ideal point) whose
 radius is the winning distance.  Output is a plain string built with fixed
 number formatting, so identical inputs give byte-identical documents.  Ids
-and objective names are XML-escaped (``&``, ``<``, ``>``) in every text node.
+and objective names are XML-escaped (``&``, ``<``, ``>``) in every text node,
+and the characters XML 1.0 forbids are replaced with U+FFFD.
 """
 
 from __future__ import annotations
 
+import re
 from xml.sax.saxutils import escape
 
 from .front import NormalizedFront
@@ -22,8 +24,17 @@ _IDEAL = "#1f7a8c"
 _RHOMBUS = "#1f7a8c"
 
 
+#: Characters XML 1.0 forbids: C0 controls other than tab, LF and CR,
+#: surrogates, U+FFFE and U+FFFF.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _text(s: str) -> str:
+    return escape(_XML_FORBIDDEN.sub("\ufffd", s))
 
 
 def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
@@ -71,14 +82,14 @@ def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
             continue
         out.append(
             f'<circle cx="{_fmt(px(row[0]))}" cy="{_fmt(py(row[1]))}" r="4" '
-            f'fill="{_POINT}" fill-opacity="0.75"><title>{escape(sid)}</title></circle>'
+            f'fill="{_POINT}" fill-opacity="0.75"><title>{_text(sid)}</title></circle>'
         )
     for sid in decision.winner_ids:
         row = y[nf.index_of(sid)]
         out.append(
             f'<circle cx="{_fmt(px(row[0]))}" cy="{_fmt(py(row[1]))}" r="6" '
             f'fill="{_WINNER}" stroke="white" stroke-width="1.5">'
-            f"<title>{escape(sid)} (winner)</title></circle>"
+            f"<title>{_text(sid)} (winner)</title></circle>"
         )
 
     ix, iy = _fmt(px(cx)), _fmt(py(cy))
@@ -87,7 +98,7 @@ def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
         f'stroke="{_IDEAL}" stroke-width="2" fill="none"/>'
     )
 
-    names = [escape(name) for name in nf.base.objective_names]
+    names = [_text(name) for name in nf.base.objective_names]
     out.append(
         f'<text x="{_SIZE // 2}" y="{_SIZE - 14}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" fill="#333">{names[0]} (normalized)</text>'
@@ -100,7 +111,7 @@ def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
     out.append(
         f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-family="sans-serif" '
         f'font-size="13" fill="#333">method={decision.method}  '
-        f"winner={{{escape(', '.join(decision.winner_ids))}}}  "
+        f"winner={{{_text(', '.join(decision.winner_ids))}}}  "
         f"c_min={decision.c_min_mmd:.6g}</text>"
     )
     out.append("</svg>")

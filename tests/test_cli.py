@@ -387,6 +387,8 @@ BAD_INPUTS = {
             ("f-string", ["f1", "f2"], "a", ["1_0", " 2 "], {}),
             ("x-string", ["f1", "f2"], "a", [0, 1], {"x": ["7"]}),
             ("objective-name-null", [None, "f2"], "a", [0, 1], {}),
+            ("id-lone-surrogate", ["f1", "f2"], "\ud800", [0, 1], {}),
+            ("objective-name-lone-surrogate", ["a\udc00", "f2"], "a", [0, 1], {}),
         ]
     },
 }

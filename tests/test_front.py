@@ -347,6 +347,30 @@ def test_dominance_filter_peak_memory(shape):
     assert peak < 16e6, peak / 1e6
 
 
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_json_peak_memory_stays_near_json_loads():
+    # the loader parses the decoded text itself, with no buffer copy of it
+    rng = np.random.default_rng(8)
+    text = json.dumps({
+        "objectives": [f"f{k}" for k in range(5)],
+        "solutions": [
+            {"id": f"s{k}", "f": row, "x": x}
+            for k, (row, x) in enumerate(zip(rng.uniform(0, 1, (2000, 5)).tolist(),
+                                             rng.uniform(0, 1, (2000, 3)).tolist()))
+        ],
+    })
+    ratio = _peak_bytes(load_front, text, format="json") / _peak_bytes(json.loads, text)
+    assert ratio < 2.2, ratio
+
+
 # ------------------------------------------------------------- normalize
 
 def test_normalize_two_point_example():

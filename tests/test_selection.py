@@ -293,6 +293,17 @@ def test_select_mmd_concave_arc_selects_extreme_pair():
     assert decision.c_min_mmd == 1.0
 
 
+def test_knee_is_read_only_in_winner_order():
+    nf = normalize(generate(FrontSpec(family="concave2d", samples=30, seed=4)))
+    for decision in (select_mmd(nf), select_ws(nf), select_dnc(nf, pairing_seed=3)):
+        assert len(decision.winner_ids) == 2
+        expected = [nf.base.objectives[nf.index_of(sid)] for sid in decision.winner_ids]
+        np.testing.assert_array_equal(decision.knee, expected)
+        assert not decision.knee.flags.writeable
+        with pytest.raises(ValueError):
+            decision.knee[0, 0] = 0.0
+
+
 def test_select_single_solution_front():
     nf = normalize(make_front([[3.0, 4.0]]))
     for select in (select_mmd, select_ws, select_dnc):

@@ -55,3 +55,16 @@ def test_svg_escapes_ids_and_names():
     texts = [t.text for t in root.iter(f"{ns}text")]
     assert texts[:2] == ["cost&risk (normalized)", "f<2> (normalized)"]
     assert "winner={a<b}" in texts[2]
+
+
+def test_svg_replaces_xml_forbidden_characters():
+    nf = normalize(make_front(
+        [[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]], ids=["x\x01", "y\x0b", "z"], names=["a\x1f", "b"]
+    ))
+    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    ns = "{http://www.w3.org/2000/svg}"
+    titles = sorted(t.text for t in root.iter(f"{ns}title"))
+    assert titles == ["x\ufffd", "y\ufffd (winner)", "z"]
+    texts = [t.text for t in root.iter(f"{ns}text")]
+    assert texts[0] == "a\ufffd (normalized)"
+    assert "winner={y\ufffd}" in texts[2]
