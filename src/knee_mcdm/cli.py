@@ -166,9 +166,13 @@ def _epsilon(args) -> float:
 
 
 def _emit(args, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``--output``, else to stdout whatever the locale."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -283,7 +287,7 @@ def cmd_verify(args) -> int:
             f"(classes per front: min {min(classes)}, "
             f"median {statistics.median_high(classes)}, max {max(classes)})"
         )
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     if not report.passed or failed:
         return EXIT_VIOLATION
     return EXIT_OK

@@ -550,9 +550,11 @@ def write_front(front: Front, stream: IO, format: str = "csv") -> None:
     included.  CSV carries only ids and objective values; they are written in
     minimization form, so reloading with default senses reproduces the stored
     matrix (sense provenance and decision vectors do not fit the CSV schema).
-    CSV round-trips ids that are non-empty, have no leading or trailing
-    whitespace, do not start with ``#`` and contain no line breaks; commas
-    and quotes are quoted.
+    Commas and quotes are quoted.  The CSV loader strips cells, skips lines
+    starting with ``#`` and reads a carriage return as a line break, so CSV
+    raises ParseError, before writing anything, for an id or objective name
+    with leading or trailing whitespace or a line break, and for an id
+    starting with ``#``; JSON carries them.
     """
     if format == "csv":
         _write_csv(front, stream)
@@ -562,7 +564,16 @@ def write_front(front: Front, stream: IO, format: str = "csv") -> None:
         raise ParseError(f"unknown front format {format!r}")
 
 
+def _csv_unsafe(text: str) -> bool:
+    """True if the CSV loader would read ``text`` back as other text."""
+    return text != text.strip() or "\n" in text or "\r" in text
+
+
 def _write_csv(front: Front, stream: IO) -> None:
+    bad = [("objective name", name) for name in front.objective_names if _csv_unsafe(name)]
+    bad += [("solution id", sid) for sid in front.ids if _csv_unsafe(sid) or sid.startswith("#")]
+    if bad:
+        raise ParseError("CSV cannot carry the %s %r; write JSON instead" % bad[0])
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["id", *front.objective_names])
     for sid, row in zip(front.ids, front.objectives.tolist()):

@@ -82,7 +82,7 @@ class EquivalenceClass:
         return len(self.ids)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class EquivalenceClasses:
     """Partition of a front's solutions into score-equivalence classes,
     sorted ascending by representative Manhattan distance.
@@ -96,9 +96,9 @@ class EquivalenceClasses:
     * ``mmd`` and ``ws``: the representative's scores, one float per class;
     * ``epsilon``: the tolerance the classes were built with.
 
-    Indexing and iteration build ``EquivalenceClass`` objects on access.
-    ``EquivalenceClasses(classes, epsilon)`` converts a sequence of
-    ``EquivalenceClass`` objects to the same columns.
+    ``build_classes`` is the one producer; the constructor takes the five
+    columns as they are.  Indexing and iteration build ``EquivalenceClass``
+    objects on access.
     """
 
     ids: tuple[str, ...]
@@ -106,29 +106,6 @@ class EquivalenceClasses:
     mmd: tuple[float, ...]
     ws: tuple[float, ...]
     epsilon: float
-
-    def __init__(self, classes: Sequence[EquivalenceClass], epsilon: float) -> None:
-        classes = tuple(classes)
-        starts = [0]
-        for cls in classes:
-            starts.append(starts[-1] + len(cls.ids))
-        self._set(
-            tuple(sid for cls in classes for sid in cls.ids),
-            tuple(starts),
-            tuple(float(cls.mmd) for cls in classes),
-            tuple(float(cls.ws) for cls in classes),
-            epsilon,
-        )
-
-    @classmethod
-    def _from_columns(cls, ids, starts, mmd, ws, epsilon) -> "EquivalenceClasses":
-        self = object.__new__(cls)
-        self._set(ids, starts, mmd, ws, epsilon)
-        return self
-
-    def _set(self, *columns) -> None:
-        for name, value in zip(("ids", "starts", "mmd", "ws", "epsilon"), columns):
-            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.mmd)
@@ -147,9 +124,6 @@ class EquivalenceClasses:
         except ValueError:
             raise KeyError(solution_id) from None
         return bisect_right(self.starts, pos) - 1
-
-    def all_ids(self) -> tuple[str, ...]:
-        return self.ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +295,7 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
                 starts.append(k)
                 rep, rep_tol = dk, tol[k]
         starts = np.array(starts, dtype=np.intp)
-    return EquivalenceClasses._from_columns(
+    return EquivalenceClasses(
         tuple(map(ids.__getitem__, order.tolist())),
         (*starts.tolist(), m),
         tuple(d_sorted[starts].tolist()),

@@ -444,6 +444,33 @@ def test_errors_exit_2_under_optimized_interpreter(tmp_path):
         assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["select"],
+        ["rank"],
+        ["select", "--output-format", "csv"],
+        ["rank", "--output-format", "csv"],
+        ["plot"],
+    ],
+    ids=["select", "rank", "select-csv", "rank-csv", "plot"],
+)
+def test_stdout_is_utf8_under_ascii_locale(command, tmp_path):
+    # stdout carries the same UTF-8 bytes as --output, whatever the locale's encoding
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+    front = tmp_path / "front.csv"
+    front.write_text("id,a,b\n\u20ac,0,1\nz,1,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "knee_mcdm", *command, "--input", str(front)]
+    file_run = subprocess.run(argv + ["--output", str(out)], capture_output=True, env=env)
+    assert file_run.returncode == 0, file_run.stderr
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.read_bytes()
+    assert "\u20ac".encode("utf-8") in proc.stdout
+
+
 def test_verify_reports_violation_with_exit_4(table1_csv, capsys, monkeypatch):
     # a disagreement is an implementation bug and cannot be produced through
     # the public surface; stub the check to exercise the exit-code plumbing

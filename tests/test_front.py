@@ -174,6 +174,30 @@ def test_round_trip_csv_property(data, m, n):
     assert load_front(buf.getvalue(), format="csv") == front
 
 
+_ANY_TEXT = st.text(
+    st.one_of(st.sampled_from('#, "\t\r\n'), st.characters(blacklist_categories=("Cs",))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(2, 3))
+def test_write_csv_raises_or_round_trips(data, m, n):
+    ids = data.draw(st.lists(_ANY_TEXT, min_size=m, max_size=m, unique=True))
+    names = data.draw(st.lists(_ANY_TEXT, min_size=n, max_size=n, unique=True))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    front = make_front(rows, ids=ids, names=names)
+    buf = io.StringIO()
+    try:
+        write_front(front, buf, format="csv")
+    except ParseError:
+        assert buf.getvalue() == ""  # nothing written before the check
+        return
+    assert load_front(buf.getvalue(), format="csv") == front
+
+
 def test_round_trip_csv_values():
     front = generate(FrontSpec(family="convex2d", samples=20, seed=5))
     buf = io.StringIO()

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -228,7 +229,14 @@ def test_equivalence_classes_constructor_matches_build_classes(eps):
     rows = np.round(np.random.default_rng(3).random((300, 4)), 1)
     nf = normalize(make_front(rows))
     built = build_classes(nf, eps)
-    made = selection.EquivalenceClasses(tuple(built), eps)
+    members, mmd, ws = zip(*reference_partition(nf, eps))  # independent of built
+    made = selection.EquivalenceClasses(
+        ids=tuple(itertools.chain.from_iterable(members)),
+        starts=tuple(itertools.accumulate(map(len, members), initial=0)),
+        mmd=mmd,
+        ws=ws,
+        epsilon=eps,
+    )
     assert len(made) == len(built) > 1
     assert list(made) == list(built)
     for k in (0, 1, len(built) - 1, -1, -len(built)):
@@ -244,8 +252,8 @@ def test_equivalence_classes_constructor_matches_build_classes(eps):
     for sid in nf.base.ids:
         assert made.class_index_of(sid) == built.class_index_of(sid)
         assert sid in built[built.class_index_of(sid)].ids
-    assert made.all_ids() == built.all_ids()
-    assert sorted(built.all_ids()) == sorted(nf.base.ids)
+    assert made.ids == built.ids
+    assert sorted(built.ids) == sorted(nf.base.ids)
     assert made.epsilon == built.epsilon == eps
 
 
@@ -259,7 +267,7 @@ def test_equivalence_classes_constructor_matches_build_classes(eps):
 def test_build_classes_partition_property(m, n, seed, eps):
     nf = _random_nf(m, n, seed)
     classes = build_classes(nf, epsilon=eps)
-    seen = list(classes.all_ids())
+    seen = list(classes.ids)
     assert sorted(seen) == sorted(nf.base.ids)  # exhaustive, disjoint
     reps = [cls.mmd for cls in classes]
     assert reps == sorted(reps)
@@ -392,11 +400,7 @@ def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
     from knee_mcdm import selection
 
     tied = selection.EquivalenceClasses(
-        classes=(
-            selection.EquivalenceClass(("x1",), 0.5, 0.6),
-            selection.EquivalenceClass(("x2",), 0.5, 0.6),
-        ),
-        epsilon=0.0,
+        ids=("x1", "x2"), starts=(0, 1, 2), mmd=(0.5, 0.5), ws=(0.6, 0.6), epsilon=0.0
     )
     monkeypatch.setattr(selection, "build_classes", lambda nf, epsilon: tied)
     with pytest.raises(EquivalenceViolation):
