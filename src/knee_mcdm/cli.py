@@ -28,7 +28,6 @@ from .selection import (
     DEFAULT_EPSILON,
     DEFAULT_SEEDS,
     Decision,
-    build_classes,
     rank,
     select_dnc,
     select_mmd,
@@ -274,9 +273,8 @@ def cmd_verify(args) -> int:
 
     failed, classes = 0, []
     for label, front in agreement_corpus(args.self_test):
-        cnf = normalize(front)
-        sub = verify_equivalence(cnf, eps, seeds=seeds)
-        classes.append(len(build_classes(cnf, eps)))
+        sub = verify_equivalence(normalize(front), eps, seeds=seeds)
+        classes.append(sub.classes)
         if not sub.passed:
             failed += 1
             lines.append(f"  self-test {label}: FAIL")

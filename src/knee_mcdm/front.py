@@ -44,6 +44,16 @@ _SENSE_ALIASES = {
 }
 
 
+def negate_max_columns(values: np.ndarray, senses: Sequence[str]) -> np.ndarray:
+    """Negate, in place, the columns of ``values`` whose sense is "max" and
+    return ``values``.  Negation is its own inverse, so this turns input rows
+    into minimization form and stored rows back into input form."""
+    flip = [k for k, s in enumerate(senses) if s == SENSE_MAX]
+    if flip:
+        values[:, flip] = -values[:, flip]
+    return values
+
+
 def _canonical_sense(value: str) -> str:
     try:
         return _SENSE_ALIASES[str(value).strip().lower()]
@@ -536,9 +546,7 @@ def _assemble(names, file_senses, overrides, ids, values, decision) -> Front:
             culprit = next(filter(_LONE_SURROGATE.search, texts))
             raise ParseError(f"{kind} {culprit!r} holds a lone surrogate, not UTF-8 text")
     senses = _resolve_senses(names, file_senses, overrides)
-    flip = [k for k, s in enumerate(senses) if s == SENSE_MAX]
-    if flip:  # values is the loader's own array
-        values[:, flip] = -values[:, flip]
+    negate_max_columns(values, senses)  # values is the loader's own array
     return Front._trusted(tuple(names), senses, tuple(ids), values, decision)
 
 
@@ -581,10 +589,7 @@ def _write_csv(front: Front, stream: IO) -> None:
 
 
 def _write_json(front: Front, stream: IO) -> None:
-    flip = [k for k, s in enumerate(front.senses) if s == SENSE_MAX]
-    values = front.objectives.copy()
-    if flip:
-        values[:, flip] = -values[:, flip]
+    values = negate_max_columns(front.objectives.copy(), front.senses)
     solutions = []
     for k, sid in enumerate(front.ids):
         rec: dict = {"id": sid, "f": [float(v) for v in values[k]]}

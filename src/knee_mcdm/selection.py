@@ -16,8 +16,9 @@ same quantity pairwise, so its winner is independent of the pairing order.
 Solutions whose scores differ by less than a tolerance form one equivalence
 class and win or lose together.
 
-The selectors and ``rank`` are views over one partition, ``build_classes``,
-which is also the one place that validates the tolerance.
+The selectors, ``rank`` and ``verify_equivalence`` are views over one
+partition, ``build_classes``, which is also the one place that validates the
+tolerance.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateDimension, EquivalenceViolation, InvalidEpsilon
-from .front import NormalizedFront
+from .front import NormalizedFront, negate_max_columns
 
 #: Default relative tolerance for grouping near-equal scores.
 DEFAULT_EPSILON = 1e-9
@@ -133,9 +134,10 @@ class Decision:
 
     ``winner`` is always a whole equivalence class; ``trace`` is only
     populated by the tournament selector.  Derived on first access: ``knee``,
-    the raw objective rows of the winner's members in ``winner.ids`` order
-    (read-only); ``c_min_mmd`` and ``c_min_ws``, the smallest Manhattan
-    distance and weighted sum over the front; ``scores``, every solution in
+    the objective rows of the winner's members in ``winner.ids`` order, as
+    they were input ("max" columns not negated; read-only); ``c_min_mmd`` and
+    ``c_min_ws``, the smallest Manhattan distance and weighted sum over the
+    front (scores, so in minimization form); ``scores``, every solution in
     front row order.
     """
 
@@ -146,7 +148,10 @@ class Decision:
 
     @cached_property
     def knee(self) -> np.ndarray:
-        knee = self._nf.base.objectives[list(map(self._nf.index_of, self.winner.ids))]
+        base = self._nf.base
+        knee = negate_max_columns(
+            base.objectives[list(map(base.index_of, self.winner.ids))], base.senses
+        )
         knee.flags.writeable = False
         return knee
 
@@ -309,26 +314,23 @@ def select_mmd(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decisio
     return Decision("mmd", build_classes(nf, epsilon)[0], nf)
 
 
+def _ws_class_index(nf: NormalizedFront, classes: EquivalenceClasses) -> int:
+    """Index of the class holding the weighted-sum minimizer, located from
+    the ws scores independently of the partition's mmd order."""
+    return classes.class_index_of(nf.base.ids[int(np.argmin(nf.ws_scores))])
+
+
 def select_ws(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:
     """Select the class of the row with the smallest spread-weighted sum."""
     classes = build_classes(nf, epsilon)
-    best = nf.base.ids[int(np.argmin(nf.ws_scores))]
-    return Decision("ws", classes[classes.class_index_of(best)], nf)
+    return Decision("ws", classes[_ws_class_index(nf, classes)], nf)
 
 
-def select_dnc(
-    nf: NormalizedFront,
-    epsilon: float = DEFAULT_EPSILON,
-    pairing_seed: int = 0,
-) -> Decision:
-    """Select by knockout tournament over equivalence classes.
-
-    Classes are shuffled by ``pairing_seed`` and compared pairwise; the class
-    whose direction of transition yields a positive net improvement
-    percentage advances, an unpaired class gets a bye.  The survivor is the
-    same for every seed; the full comparison list is recorded in the trace.
-    """
-    classes = build_classes(nf, epsilon)
+def _tournament(
+    classes: EquivalenceClasses, pairing_seed: int
+) -> tuple[int, tuple[ComparisonRecord, ...]]:
+    """Knockout over the classes in an order shuffled by ``pairing_seed``;
+    returns the surviving class index and every comparison made."""
     alive = list(range(len(classes)))
     random.Random(pairing_seed).shuffle(alive)
 
@@ -346,7 +348,24 @@ def select_dnc(
         if len(alive) % 2:
             survivors.append(alive[-1])
         alive = survivors
-    return Decision("dnc", classes[alive[0]], nf, tuple(trace))
+    return alive[0], tuple(trace)
+
+
+def select_dnc(
+    nf: NormalizedFront,
+    epsilon: float = DEFAULT_EPSILON,
+    pairing_seed: int = 0,
+) -> Decision:
+    """Select by knockout tournament over equivalence classes.
+
+    Classes are shuffled by ``pairing_seed`` and compared pairwise; the class
+    whose direction of transition yields a positive net improvement
+    percentage advances, an unpaired class gets a bye.  The survivor is the
+    same for every seed; the full comparison list is recorded in the trace.
+    """
+    classes = build_classes(nf, epsilon)
+    k, trace = _tournament(classes, pairing_seed)
+    return Decision("dnc", classes[k], nf, trace)
 
 
 def rank(
@@ -359,12 +378,18 @@ def rank(
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Cross-method agreement check over one front."""
+    """Cross-method agreement check over one front.
+
+    ``winners`` maps "mmd", "ws" and "dnc@<seed>" (one per seed, in seed
+    order) to the winner ids; ``classes`` is the number of classes in the
+    one partition all three rules were applied to.
+    """
 
     passed: bool
     winners: dict[str, tuple[str, ...]]
     offset_gap: float
     issues: tuple[str, ...]
+    classes: int
 
     def raise_if_failed(self) -> None:
         if not self.passed:
@@ -376,25 +401,31 @@ def verify_equivalence(
     epsilon: float = DEFAULT_EPSILON,
     seeds: Sequence[int] = DEFAULT_SEEDS,
 ) -> EquivalenceReport:
-    """Run all three selectors (the tournament once per seed) and check that
-    every winner class is identical and that c_min_ws - c_min_mmd equals the
-    ideal offset within tolerance."""
-    mmd = select_mmd(nf, epsilon)
-    winners = {"mmd": mmd.winner_ids, "ws": select_ws(nf, epsilon).winner_ids}
-    for seed in seeds:
-        winners[f"dnc@{seed}"] = select_dnc(nf, epsilon, pairing_seed=seed).winner_ids
-    reference = sorted(mmd.winner_ids)
+    """Apply the three rules to one partition (the tournament once per seed)
+    and check that every winner class is identical and that
+    c_min_ws - c_min_mmd equals the ideal offset within tolerance.
+
+    A tie between distinct classes in a tournament raises
+    EquivalenceViolation.
+    """
+    classes = build_classes(nf, epsilon)
+    # the tournaments run first, so a tie raises before any other lookup
+    dnc = {f"dnc@{seed}": classes[_tournament(classes, seed)[0]].ids for seed in seeds}
+    winners = {"mmd": classes[0].ids, "ws": classes[_ws_class_index(nf, classes)].ids, **dnc}
+    reference = sorted(winners["mmd"])
     issues = [
         f"{name} winner {sorted(ids)} != mmd winner {reference}"
         for name, ids in winners.items()
         if sorted(ids) != reference
     ]
 
+    c_min_mmd = float(nf.mmd_scores.min())
+    c_min_ws = float(nf.ws_scores.min())
     offset = nf.ideal_offset
-    gap = abs((mmd.c_min_ws - mmd.c_min_mmd) - offset)
+    gap = abs((c_min_ws - c_min_mmd) - offset)
     if gap > OFFSET_TOL * max(1.0, abs(offset)):
         issues.append(
-            f"c_min_ws - c_min_mmd = {mmd.c_min_ws - mmd.c_min_mmd!r} "
+            f"c_min_ws - c_min_mmd = {c_min_ws - c_min_mmd!r} "
             f"but ideal offset = {offset!r}"
         )
     return EquivalenceReport(
@@ -402,4 +433,5 @@ def verify_equivalence(
         winners=winners,
         offset_gap=gap,
         issues=tuple(issues),
+        classes=len(classes),
     )

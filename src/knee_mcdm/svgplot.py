@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from xml.sax.saxutils import escape
 
-from .front import NormalizedFront
+from .front import SENSE_MAX, NormalizedFront
 from .selection import Decision
 
 _SIZE = 560
@@ -98,15 +98,19 @@ def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
         f'stroke="{_IDEAL}" stroke-width="2" fill="none"/>'
     )
 
-    names = [_text(name) for name in nf.base.objective_names]
+    # y is in minimization form, so a "max" axis shows the negated values
+    labels = [
+        _text(name) + (" (negated, normalized)" if sense == SENSE_MAX else " (normalized)")
+        for name, sense in zip(nf.base.objective_names, nf.base.senses)
+    ]
     out.append(
         f'<text x="{_SIZE // 2}" y="{_SIZE - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" fill="#333">{names[0]} (normalized)</text>'
+        f'font-family="sans-serif" font-size="13" fill="#333">{labels[0]}</text>'
     )
     out.append(
         f'<text x="16" y="{_SIZE // 2}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" fill="#333" transform="rotate(-90 16 {_SIZE // 2})">'
-        f"{names[1]} (normalized)</text>"
+        f"{labels[1]}</text>"
     )
     out.append(
         f'<text x="{_MARGIN}" y="{_MARGIN - 12}" font-family="sans-serif" '

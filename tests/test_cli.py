@@ -191,7 +191,7 @@ def test_verify_self_test_reports_labels_and_class_counts(table1_csv, capsys, mo
     from knee_mcdm.selection import EquivalenceReport
 
     def failing_verify(nf, eps, seeds):
-        return EquivalenceReport(False, {}, 0.0, ("stub issue",))
+        return EquivalenceReport(False, {}, 0.0, ("stub issue",), classes=1)
 
     monkeypatch.setattr(cli, "verify_equivalence", failing_verify)
     code, out, _ = run_cli(
@@ -201,6 +201,28 @@ def test_verify_self_test_reports_labels_and_class_counts(table1_csv, capsys, mo
     assert "  self-test convex2d[0]: FAIL\n    stub issue\n" in out
     assert "  self-test sphere(M=3,N=3)[1]: FAIL\n" in out
     assert "self-test fronts: 0/2 pass" in out
+
+
+def test_verify_partitions_each_front_once(table1_csv, capsys, monkeypatch):
+    from knee_mcdm import normalize, selection
+
+    calls = []
+    build_classes = selection.build_classes
+
+    def counting_build_classes(nf, epsilon):
+        calls.append(nf)
+        return build_classes(nf, epsilon)
+
+    monkeypatch.setattr(selection, "build_classes", counting_build_classes)
+    with open(table1_csv, "rb") as handle:
+        report = selection.verify_equivalence(normalize(knee_mcdm.load_front(handle)))
+    assert report.passed and report.classes == 16
+    assert len(calls) == 1
+
+    calls.clear()
+    code, _, _ = run_cli(["verify", "--input", table1_csv, "--self-test", "5"], capsys)
+    assert code == 0
+    assert len(calls) == 1 + 5
 
 
 def test_verify_negative_self_test_exits_2(table1_csv, capsys):
@@ -482,6 +504,7 @@ def test_verify_reports_violation_with_exit_4(table1_csv, capsys, monkeypatch):
             winners={"mmd": ("a",), "ws": ("b",)},
             offset_gap=0.0,
             issues=("ws winner ['b'] != mmd winner ['a']",),
+            classes=2,
         )
 
     monkeypatch.setattr(cli, "verify_equivalence", fake_verify)

@@ -1,11 +1,12 @@
-"""Byte-for-byte checks of ``select`` and ``rank`` output against stored files.
+"""Byte-for-byte checks of ``select``, ``rank`` and ``verify`` output against
+stored files.
 
 ``tests/data/golden`` holds two input fronts (``gen --family table1`` and
 ``gen --family sphere3d --samples 200``) and, for each, the output of
 ``select --method mmd|ws``, ``select --method dnc --seed 7`` and ``rank`` in
-text, csv and json.  A change to parsing, partitioning or serialization
-that alters a single byte of any of them fails here.
-"""
+text, csv and json; for ``table1`` also the text of ``verify --self-test
+100``.  A change to parsing, partitioning or serialization that alters a
+single byte of any of them fails here."""
 
 from pathlib import Path
 
@@ -34,3 +35,10 @@ def test_output_matches_golden(front, command, fmt, capsys):
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{front}.{command}.{fmt}").read_bytes()
 
+
+
+def test_verify_self_test_matches_golden(capsys):
+    args = ["verify", "--input", str(GOLDEN / "table1.csv"), "--self-test", "100"]
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / "table1.verify-self-test-100.text").read_bytes()

@@ -15,6 +15,7 @@ from knee_mcdm import (
     UnknownId,
     build_classes,
     improvement_percentage,
+    load_front,
     net_improvement,
     normalize,
     rank,
@@ -312,6 +313,28 @@ def test_knee_is_read_only_in_winner_order():
             decision.knee[0, 0] = 0.0
 
 
+@pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 8).flatmap(
+        lambda m: st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3), min_size=m, max_size=m
+        )
+    ),
+    senses=st.lists(st.sampled_from(["min", "max"]), min_size=3, max_size=3),
+    seed=st.integers(0, 100),
+)
+def test_knee_rows_are_the_input_rows_for_any_senses(rows, senses, seed):
+    assume(len(rows) == 1 or np.ptp(rows, axis=0).any())
+    text = "id,f1,f2,f3\n" + "".join(
+        f"p{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows)
+    )
+    nf = normalize(load_front(text, senses=senses))
+    for decision in (select_mmd(nf), select_ws(nf), select_dnc(nf, pairing_seed=seed)):
+        expected = [rows[int(sid[1:])] for sid in decision.winner_ids]
+        np.testing.assert_array_equal(decision.knee, expected)
+
+
 def test_select_single_solution_front():
     nf = normalize(make_front([[3.0, 4.0]]))
     for select in (select_mmd, select_ws, select_dnc):
@@ -405,6 +428,8 @@ def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
     monkeypatch.setattr(selection, "build_classes", lambda nf, epsilon: tied)
     with pytest.raises(EquivalenceViolation):
         select_dnc(table1_nf)
+    with pytest.raises(EquivalenceViolation):
+        verify_equivalence(table1_nf)
 
 
 # ------------------------------------------------------------------ rank

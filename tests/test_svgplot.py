@@ -57,6 +57,14 @@ def test_svg_escapes_ids_and_names():
     assert "winner={a<b}" in texts[2]
 
 
+def test_svg_labels_a_max_axis_as_negated():
+    nf = normalize(make_front([[0.0, -1.0], [1.0, -2.0]], names=["cost", "gain"],
+                              senses=["min", "max"]))
+    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[:2] == ["cost (normalized)", "gain (negated, normalized)"]
+
+
 def test_svg_replaces_xml_forbidden_characters():
     nf = normalize(make_front(
         [[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]], ids=["x\x01", "y\x0b", "z"], names=["a\x1f", "b"]
