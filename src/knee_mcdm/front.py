@@ -17,7 +17,9 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import IO, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -310,6 +312,47 @@ def normalize(front: Front) -> NormalizedFront:
 #: rows kept so far.
 _FILTER_BLOCK = 64
 
+#: Rows in ``dominance_filter``'s elimination window.  Each one costs a
+#: vectorised O(M * N) test before the walk.
+_FILTER_WINDOW = 16
+
+
+def _filter_window(lines: np.ndarray) -> np.ndarray:
+    """Positions of the ``_FILTER_WINDOW`` rows (all rows if fewer) with the
+    smallest sum of spread-normalised values, given one line per column."""
+    score = np.zeros(lines.shape[1])
+    for line in lines:
+        half = line * 0.5  # halves of finite floats: max - min cannot overflow
+        low = half.min()
+        spread = half.max() - low
+        if spread > 0.0:
+            half -= low
+            half /= spread  # in [0, 1]
+            score += half
+    return np.argpartition(score, min(len(score), _FILTER_WINDOW) - 1)[:_FILTER_WINDOW]
+
+
+def _window_survivors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``f`` that no window row dominates, lexsorted with column 0
+    as the primary key: their input positions and one contiguous line per
+    column."""
+    lines = np.ascontiguousarray(f.T)
+    left = np.arange(len(f))  # input position of each row still in ``lines``
+    for w in f[_filter_window(lines)]:
+        # rows w dominates: >= w in every column and > w in at least one
+        ge = lines[0] >= w[0]
+        gt = lines[0] > w[0]
+        for line, value in zip(lines[1:], w[1:]):
+            ge &= line >= value
+            gt |= line > value
+        ge &= gt
+        if ge.any():
+            keep = ~ge
+            lines = lines.compress(keep, axis=1)  # stays one contiguous line per column
+            left = left[keep]
+    order = np.lexsort(lines[::-1])
+    return left[order], lines.take(order, axis=1)
+
 
 def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     """Drop every solution dominated by another one.
@@ -319,15 +362,25 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     the surviving sub-front (input order preserved) and the removed ids in
     input order.
 
-    Sort-then-archive (Kung, Luccio & Preparata, JACM 1975): the rows are
-    lexsorted with column 0 as the primary key, so every dominator sorts
-    strictly before the rows it dominates and exact duplicates form one run
-    of adjacent sorted rows.  The sorted rows are walked in blocks of
-    ``_FILTER_BLOCK``.  Each block is tested in one vectorised step against
-    the candidates: the archive of kept rows found so far plus the block
-    itself.  Testing against kept rows alone suffices: dominance is
-    transitive, so every dominated row is also dominated by a kept row
-    sorted before it.
+    Elimination window (LESS: Godfrey, Shipley & Gryz, VLDB 2005): the
+    ``_FILTER_WINDOW`` rows with the smallest sum of spread-normalised
+    values are likely to dominate many rows, so first every row that one of
+    them dominates is removed, one vectorised test per window row.  The
+    output does not depend on which rows form the window: a row is removed
+    only when a row of the front dominates it, no nondominated row can be
+    removed, and a dominated row that survives is still dominated by some
+    nondominated row, which survives too.  A duplicate of a surviving row
+    survives with it, since the same window rows dominate both.
+
+    Sort-then-archive (Kung, Luccio & Preparata, JACM 1975) over the
+    survivors: the rows are lexsorted with column 0 as the primary key, so
+    every dominator sorts strictly before the rows it dominates and exact
+    duplicates form one run of adjacent sorted rows.  The sorted rows are
+    walked in blocks of ``_FILTER_BLOCK``.  Each block is tested in one
+    vectorised step against the candidates: the archive of kept rows found
+    so far plus the block itself.  Testing against kept rows alone
+    suffices: dominance is transitive, so every dominated row is also
+    dominated by a kept row sorted before it.
 
     A candidate dominates a block row exactly when it is <= in every column
     and sorts before the row's duplicate run: a row that is <= everywhere
@@ -339,14 +392,13 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     <= in column 0 by the sort, so the <= test runs over columns 1..N-1
     only; nothing is done per pair beyond that test.
 
-    Cost: O(M log M + M * K * (N - 1)) time and O(M * N + B * (K + B))
-    memory for K kept rows and block size B, against O(M^2 * N) for both
-    when every pair is compared at once.
+    Cost: O(M * W * N + M' log M' + M' * K * (N - 1)) time for window size
+    W, M' rows left by the window and K kept rows, and O(M * N + B * (K + B))
+    memory for block size B, against O(M^2 * N) for both when every pair is
+    compared at once.
     """
-    f = front.objectives
-    m, n = f.shape
-    order = np.lexsort(f.T[::-1])
-    rows = np.ascontiguousarray(f[order].T)  # one contiguous line per column
+    order, rows = _window_survivors(front.objectives)
+    n, m = rows.shape
     # first[p]: the sorted position where the run of rows equal to row p begins
     run_start = np.ones(m, dtype=bool)
     run_start[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
@@ -354,7 +406,7 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     archive = np.empty_like(rows)
     pos = np.empty(m, dtype=np.intp)  # sorted position of each archived row
     kept = 0
-    dominated = np.zeros(m, dtype=bool)
+    dominated = np.ones(front.m, dtype=bool)  # rows the window removed stay True
     for start in range(0, m, _FILTER_BLOCK):
         block = rows[:, start : start + _FILTER_BLOCK]
         size = block.shape[1]
@@ -460,26 +512,43 @@ def _load_csv(text: str, overrides) -> Front:
     names = header[1:]
     if len(names) < 2:
         raise ParseError("need at least 2 objective columns")
-    if not rows[1:]:
+    body = rows[1:]
+    if not body:
         raise EmptyFront("no solution rows")
-
-    ids = []
-    values = []
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {row[0] if row else '?'!r}: expected {len(header)} cells, got {len(row)}"
-            )
-        ids.append(row[0].strip())
+    width = len(header)
+    if set(map(len, body)) == {width}:
         try:
-            values.append([float(cell) for cell in row[1:]])
+            # one float() pass over every objective cell, row after row
+            values = np.fromiter(
+                map(float, chain.from_iterable(row[1:] for row in body)),
+                float,
+                len(body) * len(names),
+            ).reshape(len(body), len(names))
+        except ValueError:
+            pass
+        else:
+            ids = list(map(str.strip, next(zip(*body))))
+            return _assemble(names, None, overrides, ids, values, None)
+    # Error path only: a column check failed, and this row loop raises the
+    # error of the first bad row.
+    for row in body:
+        if len(row) != width:
+            raise ParseError(
+                f"row {row[0] if row else '?'!r}: expected {width} cells, got {len(row)}"
+            )
+        try:
+            list(map(float, row[1:]))
         except ValueError as exc:
             raise ParseError(f"row {row[0]!r}: {exc}") from None
-    return _assemble(names, None, overrides, ids, np.array(values), None)
+    raise AssertionError("a CSV column check failed on rows the row loop accepts")
 
 
 #: Python types ``json`` gives JSON numbers; bool, a subclass of int, is excluded.
 _NUMBER_TYPES = frozenset((int, float))
+#: Python types of a JSON solution id; an integer id is read as its text.
+_ID_TYPES = frozenset((str, int))
+#: Python types of a JSON "x" value, absent or null counting as None.
+_X_TYPES = frozenset((list, type(None)))
 
 
 def _load_json(text: str, overrides) -> Front:
@@ -502,7 +571,50 @@ def _load_json(text: str, overrides) -> Front:
     if not isinstance(solutions, list) or not solutions:
         raise EmptyFront("no solution records")
 
-    ids, values, xs = [], [], []
+    columns = _json_columns(solutions, len(names))
+    if columns is None:  # the record loop is the error path only
+        _raise_first_bad_record(solutions, len(names))
+    senses = doc.get("senses")
+    if senses is not None and not isinstance(senses, list):
+        raise ParseError(f'"senses" must be a list, got {senses!r}')
+    return _assemble(names, senses, overrides, *columns)
+
+
+def _json_columns(solutions: list, n: int):
+    """Ids, the (M, n) objective matrix and the decision vectors (None when
+    no record has one) of the solution records, gathered and checked column
+    by column; None when any check fails."""
+    try:
+        sids = list(map(itemgetter("id"), solutions))
+        fs = list(map(itemgetter("f"), solutions))
+    except (KeyError, TypeError):
+        return None
+    xs = [rec.get("x") for rec in solutions]
+    if not (
+        _ID_TYPES.issuperset(map(type, sids))
+        and set(map(type, fs)) == {list}
+        and set(map(len, fs)) == {n}
+        and _X_TYPES.issuperset(map(type, xs))
+        # float() would also read "1_0" as 10.0 and true as 1.0
+        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(fs)))
+        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(filter(None, xs))))
+    ):
+        return None
+    try:
+        values = np.fromiter(
+            map(float, chain.from_iterable(fs)), float, len(fs) * n
+        ).reshape(len(fs), n)
+        decision = None
+        if xs.count(None) != len(xs):
+            decision = tuple(None if x is None else tuple(map(float, x)) for x in xs)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return list(map(str, sids)), values, decision
+
+
+def _raise_first_bad_record(solutions: list, n: int) -> NoReturn:
+    """Error path only: a column check of ``_json_columns`` failed, and this
+    record loop raises the error of the first bad record."""
     for rec in solutions:
         try:
             sid = rec["id"]
@@ -512,27 +624,21 @@ def _load_json(text: str, overrides) -> Front:
         # bool is a subclass of int, but not an id
         if type(sid) is not str and type(sid) is not int:
             raise ParseError(f"solution id must be a string or an integer, got {sid!r}")
-        ids.append(str(sid))
-        if not isinstance(f, list) or len(f) != len(names):
-            raise ParseError(f"solution {ids[-1]!r}: expected {len(names)} objective values")
+        sid = str(sid)
+        if not isinstance(f, list) or len(f) != n:
+            raise ParseError(f"solution {sid!r}: expected {n} objective values")
         x = rec.get("x")
         if x is not None and not isinstance(x, list):
-            raise ParseError(f'solution {ids[-1]!r}: "x" must be a list')
-        # float() would also read "1_0" as 10.0 and true as 1.0
+            raise ParseError(f'solution {sid!r}: "x" must be a list')
         if not _NUMBER_TYPES.issuperset(map(type, f)) or (
             x is not None and not _NUMBER_TYPES.issuperset(map(type, x))
         ):
-            raise ParseError(f"solution {ids[-1]!r}: values must be JSON numbers")
+            raise ParseError(f"solution {sid!r}: values must be JSON numbers")
         try:
-            values.append(list(map(float, f)))
-            xs.append(None if x is None else tuple(map(float, x)))
+            list(map(float, chain(f, x or ())))
         except OverflowError as exc:  # an integer beyond the float range
-            raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
-    senses = doc.get("senses")
-    if senses is not None and not isinstance(senses, list):
-        raise ParseError(f'"senses" must be a list, got {senses!r}')
-    decision = None if all(x is None for x in xs) else tuple(xs)
-    return _assemble(names, senses, overrides, ids, np.array(values), decision)
+            raise ParseError(f"solution {sid!r}: {exc}") from None
+    raise AssertionError("a JSON column check failed on records the record loop accepts")
 
 
 #: Code points a str can hold but UTF-8 cannot encode; a JSON ``\ud800``

@@ -343,7 +343,7 @@ def _tournament(
             if ip == 0.0:  # distinct classes are separated by construction
                 raise EquivalenceViolation(f"tie between distinct classes {a} and {b}")
             winner = b if ip > 0.0 else a
-            trace.append(ComparisonRecord(left=a, right=b, ip=ip, winner=winner))
+            trace.append(ComparisonRecord(a, b, ip, winner))
             survivors.append(winner)
         if len(alive) % 2:
             survivors.append(alive[-1])

@@ -466,6 +466,21 @@ def test_errors_exit_2_under_optimized_interpreter(tmp_path):
         assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
 
 
+def test_errors_exit_2_under_warnings_as_errors(tmp_path):
+    # -W error turns a floating-point RuntimeWarning into a traceback (exit 1)
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for name, text in BAD_INPUTS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "knee_mcdm", "select",
+             "--input", str(path), "--format", path.suffix[1:]],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
+
+
 @pytest.mark.parametrize(
     "command",
     [

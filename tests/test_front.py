@@ -1,6 +1,8 @@
 import io
 import json
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from knee_mcdm import (
     DegenerateSpreadWarning,
     DuplicateId,
     EmptyFront,
+    KneeMCDMError,
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
@@ -21,9 +24,16 @@ from knee_mcdm import (
     normalize,
     write_front,
 )
+from knee_mcdm import front as front_module
+from knee_mcdm.front import _FILTER_WINDOW
 from knee_mcdm.generators import TABLE1_ROWS, FrontSpec, generate
 
-from helpers import brute_force_nondominated, make_front
+from helpers import (
+    brute_force_nondominated,
+    make_front,
+    reference_load_csv,
+    reference_load_json,
+)
 
 
 # ---------------------------------------------------------------- loading
@@ -139,6 +149,120 @@ def test_load_json_integer_ids_accepted_other_numbers_not():
     records[0]["id"] = 1.5
     with pytest.raises(ParseError, match="string or an integer"):
         load_front(json.dumps(doc), format="json")
+
+
+# Objective values as both formats write them: integers, floats, -0.0 and
+# repeated small values that give ties.
+_VALUES = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 1, -1, 0.5, -0.0]),
+)
+_NAME = st.from_regex(r"[a-z][a-z0-9]{0,3}", fullmatch=True)
+
+
+@st.composite
+def _front_records(draw):
+    """Format, objective names, senses override and records
+    ``[id, values, x]``; ``x`` is "absent", None or a list of numbers."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    n = draw(st.integers(2, 4))
+    names = [f"f{k}" for k in range(n)]
+    senses = draw(st.one_of(
+        st.none(),
+        st.dictionaries(st.sampled_from(names), st.sampled_from(["min", "max"])),
+    ))
+    ids = st.one_of(_NAME, st.integers(0, 50)) if fmt == "json" else _NAME
+    records = draw(st.lists(
+        st.tuples(
+            ids,
+            st.lists(_VALUES, min_size=n, max_size=n),
+            st.one_of(st.just("absent"), st.none(), st.lists(_VALUES, max_size=3)),
+        ).map(list),
+        min_size=1,
+        max_size=12,
+        unique_by=lambda rec: str(rec[0]),
+    ))
+    return fmt, names, senses, records
+
+
+def _json_solutions(records):
+    return [
+        {"id": sid, "f": f, **({} if x == "absent" else {"x": x})} for sid, f, x in records
+    ]
+
+
+def _front_text(fmt, names, records, pad=""):
+    if fmt == "json":
+        return json.dumps({"objectives": names, "solutions": _json_solutions(records)})
+    cell = lambda v: pad + (repr(v) if isinstance(v, float) else str(v))  # noqa: E731
+    lines = ["id," + ",".join(names)]
+    lines += [",".join([sid, *map(cell, f)]) for sid, f, _ in records]
+    return "\n".join(lines) + "\n"
+
+
+def _load_outcome(load, *args, **kwargs):
+    """A loader's front, or the type and message of the error it raised."""
+    try:
+        front = load(*args, **kwargs)
+    except KneeMCDMError as exc:
+        return type(exc), str(exc)
+    # Front equality reads -0.0 as 0.0; the bytes and reprs tell them apart
+    return front, front.objectives.tobytes(), repr(front.decision_vectors)
+
+
+_REFERENCE_LOADERS = {"csv": reference_load_csv, "json": reference_load_json}
+
+
+@settings(max_examples=400, deadline=None)
+@given(front=_front_records(), pad=st.sampled_from(["", " "]))
+def test_load_front_matches_reference_loops(front, pad):
+    fmt, names, senses, records = front
+    text = _front_text(fmt, names, records, pad)
+    got = _load_outcome(load_front, text, format=fmt, senses=senses)
+    assert got == _load_outcome(_REFERENCE_LOADERS[fmt], text, senses)
+
+
+#: Ways to spoil one CSV record ``[id, values, x]``; each is a ParseError.
+_CSV_CORRUPTIONS = {
+    "cell-missing": lambda sid, f, x: [sid, f[:-1], x],
+    "cell-extra": lambda sid, f, x: [sid, f + [1], x],
+    "not-a-number": lambda sid, f, x: [sid, f[:-1] + ["1e"], x],
+}
+#: Ways to spoil one JSON solution record; each is a ParseError.
+_JSON_CORRUPTIONS = {
+    "f-short": lambda rec: {**rec, "f": rec["f"][:-1]},
+    "f-long": lambda rec: {**rec, "f": rec["f"] + [0]},
+    "f-string": lambda rec: {**rec, "f": ["1"] + rec["f"][1:]},
+    "f-bool": lambda rec: {**rec, "f": rec["f"][:-1] + [True]},
+    "f-huge-int": lambda rec: {**rec, "f": [10**400] + rec["f"][1:]},
+    "x-bool": lambda rec: {**rec, "x": [False]},
+    "x-string": lambda rec: {**rec, "x": ["7"]},
+    "id-bool": lambda rec: {**rec, "id": True},
+    "id-null": lambda rec: {**rec, "id": None},
+    "no-f": lambda rec: {"id": rec["id"]},
+    "not-an-object": lambda rec: [rec["id"]],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(front=_front_records(), data=st.data())
+def test_load_front_error_matches_reference_loops(front, data):
+    # with up to three records spoiled, the first in input order names the error
+    fmt, names, senses, records = front
+    spoiled = data.draw(st.sets(st.integers(0, len(records) - 1), min_size=1, max_size=3))
+    if fmt == "csv":
+        for k in spoiled:
+            records[k] = data.draw(st.sampled_from(list(_CSV_CORRUPTIONS.values())))(*records[k])
+        text = _front_text(fmt, names, records)
+    else:
+        solutions = _json_solutions(records)
+        for k in spoiled:
+            solutions[k] = data.draw(st.sampled_from(list(_JSON_CORRUPTIONS.values())))(solutions[k])
+        text = json.dumps({"objectives": names, "solutions": solutions})
+    got = _load_outcome(load_front, text, format=fmt, senses=senses)
+    assert got[0] is ParseError
+    assert got == _load_outcome(_REFERENCE_LOADERS[fmt], text, senses)
 
 
 def test_empty_id_rejected():
@@ -350,6 +474,74 @@ def test_dominance_filter_block_boundary(case, n):
     kept, removed = dominance_filter(make_front(rows[perm]))
     assert [int(s[1:]) for s in kept.ids] == brute_force_nondominated(rows[perm].tolist())
     assert sorted(int(perm[int(s[1:])]) for s in removed) == removed_rows
+
+
+def test_dominance_filter_keeps_every_copy_of_the_best_row():
+    # the copies fill the whole window; none of them dominates another
+    rng = np.random.default_rng(12)
+    best = rng.uniform(0, 0.1, 4)
+    rows = np.vstack([np.tile(best, (100, 1)), best + rng.uniform(0.01, 1, (150, 4))])
+    perm = rng.permutation(len(rows))
+    kept, removed = dominance_filter(make_front(rows[perm]))
+    assert sorted(int(perm[int(s[1:])]) for s in kept.ids) == list(range(100))
+    assert len(removed) == 150
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_dominance_filter_window_sized_fronts(extra):
+    # M = _FILTER_WINDOW puts every row in the window, one more leaves one out
+    m = _FILTER_WINDOW + extra
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 3, (m, 3)) / 2
+        rows[rng.integers(0, m, 3)] = rows[rng.integers(0, m, 3)]
+        kept, _ = dominance_filter(make_front(rows))
+        assert [int(s[1:]) for s in kept.ids] == brute_force_nondominated(rows.tolist())
+
+
+def test_dominance_filter_window_rows_tie_in_the_sum():
+    # the 33 rows (k, 32 - k) and their copies all score exactly 1 (the
+    # constant column adds 0), so the window is a tie; (k + 1, 32 - k) is
+    # dominated by the line rows k and k + 1 only
+    line = [[k, 32 - k, 5] for k in range(33)]
+    rows = np.array(line + line[::4] + [[k + 1, 32 - k, 5] for k in range(32)], dtype=float)
+    perm = np.random.default_rng(4).permutation(len(rows))
+    kept, removed = dominance_filter(make_front(rows[perm]))
+    assert [int(s[1:]) for s in kept.ids] == brute_force_nondominated(rows[perm].tolist())
+    assert sorted(int(perm[int(s[1:])]) for s in removed) == list(range(42, 74))
+
+
+def test_dominance_filter_raises_no_float_warning_at_the_range_ends():
+    top = np.finfo(float).max
+    values = [-top, -1e308, -1.0, -0.0, 0.0, 5e-324, 1e308, top]
+    rng = np.random.default_rng(9)
+    rows = rng.choice(values, (60, 3))
+    rows[:, 2] = rng.choice([0.0, 5e-324], 60)  # a spread that halves to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, _ = dominance_filter(make_front(rows))
+    assert [int(s[1:]) for s in kept.ids] == brute_force_nondominated(rows.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 150),
+    n=st.integers(2, 5),
+    levels=st.integers(2, 6),
+    size=st.integers(0, 2 * _FILTER_WINDOW),
+    seed=st.integers(0, 2**31),
+)
+def test_dominance_filter_output_does_not_depend_on_the_window(m, n, levels, size, seed):
+    # any rows, repeated or none, may form the window
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, levels, (m, n)) / levels
+    rows[rng.integers(0, m, m // 4)] = rows[rng.integers(0, m, m // 4)]
+    window = rng.integers(0, m, size)
+    with mock.patch.object(front_module, "_filter_window", lambda lines: window):
+        kept, removed = dominance_filter(make_front(rows))
+    oracle = brute_force_nondominated(rows.tolist())
+    assert [int(s[1:]) for s in kept.ids] == oracle
+    assert removed == [f"p{k}" for k in sorted(set(range(m)) - set(oracle))]
 
 
 @pytest.mark.parametrize("shape", ["cube", "sphere-octant"])
