@@ -487,21 +487,69 @@ def load_front(
     minimized; row order is preserved.
     """
     if format == "csv":
-        return _load_csv(_as_text(source), senses)
+        return _load_csv(source, senses)
     if format == "json":
-        return _load_json(_as_text(source), senses)
+        return _load_json(source, senses)
     raise ParseError(f"unknown front format {format!r}")
 
 
-def _load_csv(text: str, overrides) -> Front:
-    # universal newlines, as a file opened in text mode reads them
-    lines = io.StringIO(text, newline=None)
+def _load_csv(source: IO | str | bytes, overrides) -> Front:
+    """CSV front, converted as ``csv.reader`` yields its rows.
+
+    ``_csv_columns`` streams the rows into the id list and the objective
+    matrix; the row loop of ``_raise_first_bad_row`` is the error path only.
+    Both passes read their lines from ``_csv_rows`` over one encoded copy of
+    the input.
+    """
+    # surrogatepass keeps a lone surrogate of a str input, for _assemble to report
+    data = _as_text(source).encode("utf-8", "surrogatepass")
+    columns = _csv_columns(data)
+    if columns is None:  # the row loop is the error path only
+        _raise_first_bad_row(data)
+    del data  # Front's checks run without the input text
+    names, ids, values = columns
+    return _assemble(names, None, overrides, ids, values, None)
+
+
+def _csv_columns(data: bytes):
+    """Objective names, ids and the (M, N) objective matrix of the CSV text
+    that ``data`` encodes; None when any check fails.
+
+    The rows are converted as ``csv.reader`` yields them: one pass checks
+    each row's cell count, collects its id and feeds its objective cells
+    into a single ``np.fromiter(map(float, ...))``.  So the pass keeps the
+    floats, the ids and the encoded input, never a list of cell strings.
+    """
+    ids: list[str] = []
+    rows = _csv_rows(data)
     try:
-        rows = [
-            row
-            for row in csv.reader(line for line in lines if not line.lstrip().startswith("#"))
-            if row
-        ]
+        header = [cell.strip() for cell in next(rows)]
+        names = header[1:]
+        if header[0] != "id" or len(names) < 2:
+            return None
+        width = len(header)
+
+        def objective_cells():
+            for row in rows:
+                if len(row) != width:
+                    raise ValueError
+                ids.append(row[0].strip())
+                yield row[1:]
+
+        values = np.fromiter(map(float, chain.from_iterable(objective_cells())), float)
+    except (StopIteration, ValueError, csv.Error):
+        return None
+    if not ids:
+        return None
+    return names, ids, values.reshape(len(ids), len(names))
+
+
+def _raise_first_bad_row(data: bytes) -> NoReturn:
+    """Error path only: ``_csv_columns`` failed, and this row loop reads
+    every row before checking any, so that a CSV syntax error anywhere comes
+    before the first bad header or row, whose error it raises."""
+    try:
+        rows = list(_csv_rows(data))
     except csv.Error as exc:
         raise ParseError(f"invalid CSV: {exc}") from None
     if not rows:
@@ -516,21 +564,6 @@ def _load_csv(text: str, overrides) -> Front:
     if not body:
         raise EmptyFront("no solution rows")
     width = len(header)
-    if set(map(len, body)) == {width}:
-        try:
-            # one float() pass over every objective cell, row after row
-            values = np.fromiter(
-                map(float, chain.from_iterable(row[1:] for row in body)),
-                float,
-                len(body) * len(names),
-            ).reshape(len(body), len(names))
-        except ValueError:
-            pass
-        else:
-            ids = list(map(str.strip, next(zip(*body))))
-            return _assemble(names, None, overrides, ids, values, None)
-    # Error path only: a column check failed, and this row loop raises the
-    # error of the first bad row.
     for row in body:
         if len(row) != width:
             raise ParseError(
@@ -543,6 +576,21 @@ def _load_csv(text: str, overrides) -> Front:
     raise AssertionError("a CSV column check failed on rows the row loop accepts")
 
 
+def _csv_rows(data: bytes):
+    """The nonempty ``csv.reader`` rows, yielded lazily, of the text that
+    ``data`` encodes, ``#`` comment lines left out.
+
+    Both passes of ``_load_csv`` read their lines here.  The lines come from
+    a text wrapper over the encoded bytes, which reads universal newlines as
+    ``io.StringIO(text, newline=None)`` does, without its buffer of four
+    bytes per character.
+    """
+    lines = io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogatepass", newline=None
+    )
+    return filter(None, csv.reader(line for line in lines if not line.lstrip().startswith("#")))
+
+
 #: Python types ``json`` gives JSON numbers; bool, a subclass of int, is excluded.
 _NUMBER_TYPES = frozenset((int, float))
 #: Python types of a JSON solution id; an integer id is read as its text.
@@ -551,12 +599,14 @@ _ID_TYPES = frozenset((str, int))
 _X_TYPES = frozenset((list, type(None)))
 
 
-def _load_json(text: str, overrides) -> Front:
+def _load_json(source: IO | str | bytes, overrides) -> Front:
+    text = _as_text(source)
     try:
         doc = json.loads(text)
     # ValueError covers JSONDecodeError and integer literals over the digit limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    del text  # the column pass runs without the input text
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -597,16 +647,21 @@ def _json_columns(solutions: list, n: int):
         and _X_TYPES.issuperset(map(type, xs))
         # float() would also read "1_0" as 10.0 and true as 1.0
         and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(fs)))
-        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(filter(None, xs))))
     ):
         return None
+    # every x is a list or None now, so the chain cannot meet a bare number
+    x_types = set(map(type, chain.from_iterable(filter(None, xs))))
+    if not _NUMBER_TYPES.issuperset(x_types):
+        return None
+    # float() returns a float unchanged, so only an int needs converting
+    vector = (lambda x: tuple(map(float, x))) if int in x_types else tuple
     try:
         values = np.fromiter(
             map(float, chain.from_iterable(fs)), float, len(fs) * n
         ).reshape(len(fs), n)
         decision = None
         if xs.count(None) != len(xs):
-            decision = tuple(None if x is None else tuple(map(float, x)) for x in xs)
+            decision = tuple(None if x is None else vector(x) for x in xs)
     except OverflowError:  # an integer beyond the float range
         return None
     return list(map(str, sids)), values, decision

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -263,6 +264,68 @@ def test_load_front_error_matches_reference_loops(front, data):
     got = _load_outcome(load_front, text, format=fmt, senses=senses)
     assert got[0] is ParseError
     assert got == _load_outcome(_REFERENCE_LOADERS[fmt], text, senses)
+
+
+#: Raw CSV cells: numbers, padded and malformed numbers, quoted cells holding
+#: a separator or a line break, and characters that ``str.strip`` or
+#: ``str.splitlines`` read as space or a line break but universal newlines do not.
+_RAW_CELLS = st.one_of(
+    st.sampled_from(["0", "1.5", " 2 ", "-0.0", "1e3", "7", "0.25", "1_0", "nan", "", "1e", "x"]),
+    st.sampled_from(['"1,5"', '"a,b"', '"a\nb"', '"a\rb"', '"a\r\nb"', '" 3 "', '"4"', '"']),
+    st.text(st.sampled_from('ab1.,"# \x0b\x0c\x1c\x85\xa0\u2028\u3000'), max_size=4),
+)
+#: A quoted cell past ``csv.field_size_limit()``: a CSV syntax error.
+_HUGE_CELL = '"' + "a" * (csv.field_size_limit() + 1) + '"'
+
+
+@st.composite
+def _raw_csv_texts(draw):
+    """CSV text as a file could hold it: a header that is mostly good, rows
+    that are mostly good, comment and blank lines, mixed line endings, and
+    optionally a late row with a syntax error, a lone surrogate or a NUL."""
+    # hypothesis favours the first choice of a sampled_from, so the good one comes first
+    n = draw(st.sampled_from([2, 3, 4, 2, 3, 1]))
+    if draw(st.sampled_from([True, True, True, True, True, False])):
+        header = ",".join(["id", *(f"f{k}" for k in range(n))])
+    else:
+        header = ",".join(draw(st.lists(_RAW_CELLS, min_size=1, max_size=4)))
+    number = st.sampled_from(["0", "1.5", " 2 ", "-0.0", "1e3", "7", "0.25", '"4"'])
+    row = st.tuples(
+        st.one_of(*[st.from_regex(r"[a-z][0-9]{0,2}", fullmatch=True)] * 5, _RAW_CELLS),
+        st.sampled_from([True] * 9 + [False]).flatmap(
+            # a cell missing or extra, or a raw cell, in one row of ten
+            lambda good: st.lists(number, min_size=n, max_size=n) if good else
+            st.lists(_RAW_CELLS, min_size=n - 1, max_size=n + 1)
+        ),
+    ).map(lambda r: ",".join([r[0], *r[1]]))
+    comment = st.tuples(st.sampled_from(["", " ", "\t", "\x0c", "\x85"]), _RAW_CELLS).map(
+        lambda c: c[0] + "#" + c[1]
+    )
+    other = st.one_of(comment, st.sampled_from(["", "", "", " ", ","]))
+    lines = [header, *draw(st.lists(st.one_of(row, row, row, other), min_size=1, max_size=8))]
+    late = draw(st.sampled_from([None, None, None, None, "a," + _HUGE_CELL, "b,1", "c,1,x,2"]))
+    if late is not None:
+        lines.append(late)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    odd = draw(st.sampled_from([None] * 6 + ["\ud800", "\udc80", "\x00"]))
+    if odd is not None:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + odd + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_raw_csv_texts())
+def test_load_csv_matches_reference_on_raw_text(text):
+    # the CSV reader itself, fed raw text: fronts and errors, precedence included
+    want = _load_outcome(reference_load_csv, text)
+    assert _load_outcome(load_front, text, format="csv") == want
+    if not front_module._LONE_SURROGATE.search(text):
+        assert _load_outcome(load_front, text.encode("utf-8"), format="csv") == want
 
 
 def test_empty_id_rejected():
@@ -585,6 +648,30 @@ def test_load_json_peak_memory_stays_near_json_loads():
     })
     ratio = _peak_bytes(load_front, text, format="json") / _peak_bytes(json.loads, text)
     assert ratio < 2.2, ratio
+
+
+def test_load_json_from_bytes_peak_memory_stays_near_json_loads():
+    # the text decoded from the bytes is dropped before the column pass
+    rng = np.random.default_rng(8)
+    values, xs = rng.uniform(0, 1, (2000, 5)).tolist(), rng.uniform(0, 1, (2000, 3)).tolist()
+    text = json.dumps({
+        "objectives": [f"f{k}" for k in range(5)],
+        "solutions": [{"id": f"s{k}", "f": f, "x": x} for k, (f, x) in enumerate(zip(values, xs))],
+    })
+    data = text.encode("utf-8")
+    ratio = _peak_bytes(load_front, data, format="json") / _peak_bytes(json.loads, text)
+    assert ratio < 1.45, ratio
+
+
+def test_load_csv_peak_memory_stays_near_text_size():
+    # rows are converted as the reader yields them, with no list of cell strings
+    rng = np.random.default_rng(9)
+    rows = rng.uniform(0, 1, (2000, 5)).tolist()
+    text = "id,f0,f1,f2,f3,f4\n" + "".join(
+        f"s{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows)
+    )
+    ratio = _peak_bytes(load_front, text, format="csv") / len(text)
+    assert ratio < 3, ratio
 
 
 # ------------------------------------------------------------- normalize
