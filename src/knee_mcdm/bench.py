@@ -40,7 +40,11 @@ class TimingRow:
     n: int
     reps: int
     total: dict[str, float]  # method -> summed seconds
-    mean: dict[str, float]  # method -> seconds per run
+
+    @property
+    def mean(self) -> dict[str, float]:
+        """Method -> seconds per run."""
+        return {m: t / self.reps for m, t in self.total.items()}
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,13 @@ def _time_method(nf: NormalizedFront, method: str, reps: int) -> float:
 
 def _timing_row(category: str, label: str, nf: NormalizedFront, reps: int) -> TimingRow:
     verify_equivalence(nf, seeds=(0,)).raise_if_failed()
-    total = {m: _time_method(nf, m, reps) for m in METHODS}
-    mean = {m: total[m] / reps for m in METHODS}
     return TimingRow(
         category=category,
         label=label,
         m=nf.base.m,
         n=nf.base.n,
         reps=reps,
-        total=total,
-        mean=mean,
+        total={m: _time_method(nf, m, reps) for m in METHODS},
     )
 
 

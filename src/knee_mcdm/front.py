@@ -6,6 +6,11 @@ values each.  All values are stored in minimization form; columns declared
 provenance.  Normalization divides each column by its spread (max - min),
 which makes per-column deviations from the column minimum dimensionless and
 confined to [0, 1].
+
+``load_front`` reads a CSV front in one pass, converting the rows as the
+reader yields them and raising the error of the first bad header or row from
+that pass.  A JSON front is checked column by column; a record loop runs
+only when a check fails, to name the first bad record.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import (
     DegenerateSpreadWarning,
     DuplicateId,
     EmptyFront,
+    KneeMCDMError,
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
@@ -494,101 +500,75 @@ def load_front(
 
 
 def _load_csv(source: IO | str | bytes, overrides) -> Front:
-    """CSV front, converted as ``csv.reader`` yields its rows.
+    """CSV front, converted in one pass as ``csv.reader`` yields its rows.
 
-    ``_csv_columns`` streams the rows into the id list and the objective
-    matrix; the row loop of ``_raise_first_bad_row`` is the error path only.
-    Both passes read their lines from ``_csv_rows`` over one encoded copy of
-    the input.
+    ``_csv_columns`` reads one encoded copy of the input and raises the
+    error of the first bad header or row.
     """
     # surrogatepass keeps a lone surrogate of a str input, for _assemble to report
     data = _as_text(source).encode("utf-8", "surrogatepass")
-    columns = _csv_columns(data)
-    if columns is None:  # the row loop is the error path only
-        _raise_first_bad_row(data)
+    names, ids, values = _csv_columns(data)
     del data  # Front's checks run without the input text
-    names, ids, values = columns
     return _assemble(names, None, overrides, ids, values, None)
 
 
 def _csv_columns(data: bytes):
     """Objective names, ids and the (M, N) objective matrix of the CSV text
-    that ``data`` encodes; None when any check fails.
+    that ``data`` encodes.
 
     The rows are converted as ``csv.reader`` yields them: one pass checks
     each row's cell count, collects its id and feeds its objective cells
     into a single ``np.fromiter(map(float, ...))``.  So the pass keeps the
     floats, the ids and the encoded input, never a list of cell strings.
-    """
-    ids: list[str] = []
-    rows = _csv_rows(data)
-    try:
-        header = [cell.strip() for cell in next(rows)]
-        names = header[1:]
-        if header[0] != "id" or len(names) < 2:
-            return None
-        width = len(header)
+    A bad header or row stops the conversion, but its error is raised only
+    after the reader has read the rest of the input: a CSV syntax error
+    anywhere comes first.
 
-        def objective_cells():
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError
-                ids.append(row[0].strip())
-                yield row[1:]
-
-        values = np.fromiter(map(float, chain.from_iterable(objective_cells())), float)
-    except (StopIteration, ValueError, csv.Error):
-        return None
-    if not ids:
-        return None
-    return names, ids, values.reshape(len(ids), len(names))
-
-
-def _raise_first_bad_row(data: bytes) -> NoReturn:
-    """Error path only: ``_csv_columns`` failed, and this row loop reads
-    every row before checking any, so that a CSV syntax error anywhere comes
-    before the first bad header or row, whose error it raises."""
-    try:
-        rows = list(_csv_rows(data))
-    except csv.Error as exc:
-        raise ParseError(f"invalid CSV: {exc}") from None
-    if not rows:
-        raise EmptyFront("no header line")
-    header = [cell.strip() for cell in rows[0]]
-    if not header or header[0] != "id":
-        raise ParseError("first CSV column must be 'id'")
-    names = header[1:]
-    if len(names) < 2:
-        raise ParseError("need at least 2 objective columns")
-    body = rows[1:]
-    if not body:
-        raise EmptyFront("no solution rows")
-    width = len(header)
-    for row in body:
-        if len(row) != width:
-            raise ParseError(
-                f"row {row[0] if row else '?'!r}: expected {width} cells, got {len(row)}"
-            )
-        try:
-            list(map(float, row[1:]))
-        except ValueError as exc:
-            raise ParseError(f"row {row[0]!r}: {exc}") from None
-    raise AssertionError("a CSV column check failed on rows the row loop accepts")
-
-
-def _csv_rows(data: bytes):
-    """The nonempty ``csv.reader`` rows, yielded lazily, of the text that
-    ``data`` encodes, ``#`` comment lines left out.
-
-    Both passes of ``_load_csv`` read their lines here.  The lines come from
-    a text wrapper over the encoded bytes, which reads universal newlines as
-    ``io.StringIO(text, newline=None)`` does, without its buffer of four
-    bytes per character.
+    The lines come from a text wrapper over the encoded bytes, which reads
+    universal newlines as ``io.StringIO(text, newline=None)`` does, without
+    its buffer of four bytes per character.
     """
     lines = io.TextIOWrapper(
         io.BytesIO(data), encoding="utf-8", errors="surrogatepass", newline=None
     )
-    return filter(None, csv.reader(line for line in lines if not line.lstrip().startswith("#")))
+    rows = filter(None, csv.reader(line for line in lines if not line.lstrip().startswith("#")))
+    ids: list[str] = []
+    row: list[str] = []  # the row being converted, for a conversion error to name
+    try:
+        try:
+            header = [cell.strip() for cell in next(rows, ())]
+            if not header:
+                raise EmptyFront("no header line")
+            if header[0] != "id":
+                raise ParseError("first CSV column must be 'id'")
+            names = header[1:]
+            if len(names) < 2:
+                raise ParseError("need at least 2 objective columns")
+            width = len(header)
+
+            def objective_cells():
+                nonlocal row
+                for row in rows:
+                    if len(row) != width:
+                        raise ParseError(
+                            f"row {row[0]!r}: expected {width} cells, got {len(row)}"
+                        )
+                    ids.append(row[0].strip())
+                    yield row[1:]
+
+            try:
+                values = np.fromiter(map(float, chain.from_iterable(objective_cells())), float)
+            except ValueError as exc:
+                raise ParseError(f"row {row[0]!r}: {exc}") from None
+            if not ids:
+                raise EmptyFront("no solution rows")
+        except KneeMCDMError:
+            for _ in rows:  # read on: a later CSV syntax error comes first
+                pass
+            raise
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}") from None
+    return names, ids, values.reshape(len(ids), len(names))
 
 
 #: Python types ``json`` gives JSON numbers; bool, a subclass of int, is excluded.

@@ -32,21 +32,7 @@ from .errors import InvalidSpec, NoExpectation
 from .front import Front
 from .selection import Decision
 
-FAMILIES = (
-    "convex2d",
-    "concave2d",
-    "line2d",
-    "plane3d",
-    "sphere3d",
-    "disconnected2d",
-    "table1",
-    "table2like",
-)
-
 _FIXED_FAMILIES = {"table1", "table2like"}
-
-#: The families whose shape (not a fixed table) is drawn per seed.
-SHAPE_FAMILIES = tuple(f for f in FAMILIES if f not in _FIXED_FAMILIES)
 
 # Nondominated parameter stretches of the five-segment discontinuous curve.
 _DISCONNECTED_SEGMENTS = (
@@ -96,6 +82,8 @@ class FrontSpec:
             raise InvalidSpec(f"unknown family {self.family!r}; pick one of {FAMILIES}")
         if self.samples < 2:
             raise InvalidSpec(f"samples must be >= 2, got {self.samples}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.noise) and self.noise >= 0.0):
             raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
         if self.family in _FIXED_FAMILIES:
@@ -187,6 +175,11 @@ _GENERATORS: dict[str, Callable[[FrontSpec], np.ndarray]] = {
     "table2like": _gen_table2like,
 }
 
+FAMILIES = tuple(_GENERATORS)
+
+#: The families whose shape (not a fixed table) is drawn per seed.
+SHAPE_FAMILIES = tuple(f for f in FAMILIES if f not in _FIXED_FAMILIES)
+
 
 def generate(spec: FrontSpec) -> Front:
     """Build the front described by ``spec``; identical specs give identical fronts."""
@@ -213,6 +206,8 @@ def random_nondominated_front(samples: int, dims: int, seed: int) -> Front:
     at arbitrary dimension."""
     if samples < 1 or dims < 2:
         raise InvalidSpec(f"need samples >= 1 and dims >= 2, got {samples}, {dims}")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     g = np.abs(rng.standard_normal((samples, dims))) + 1e-12
     values = g / np.linalg.norm(g, axis=1, keepdims=True)

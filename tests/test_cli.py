@@ -290,6 +290,17 @@ def test_gen_json_and_stdin_select(tmp_path, capsys, monkeypatch):
     assert len(doc["solutions"]) == 6
 
 
+def test_gen_negative_seed_exits_2():
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "knee_mcdm", "gen", "--family", "convex2d", "--seed", "-1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "seed must be >= 0, got -1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_select_reads_utf8_only(tmp_path, capsys, monkeypatch):
     def from_stdin(stdin):
         monkeypatch.setattr(sys, "stdin", stdin)

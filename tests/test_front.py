@@ -663,14 +663,24 @@ def test_load_json_from_bytes_peak_memory_stays_near_json_loads():
     assert ratio < 1.45, ratio
 
 
-def test_load_csv_peak_memory_stays_near_text_size():
-    # rows are converted as the reader yields them, with no list of cell strings
+@pytest.mark.parametrize("last_row", ["", "bad,0.5\n"], ids=["good", "short-last-row"])
+def test_load_csv_peak_memory_stays_near_text_size(last_row):
+    # rows are converted as the reader yields them, with no list of cell strings,
+    # and a bad row is reported from the same pass
     rng = np.random.default_rng(9)
     rows = rng.uniform(0, 1, (2000, 5)).tolist()
     text = "id,f0,f1,f2,f3,f4\n" + "".join(
         f"s{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows)
-    )
-    ratio = _peak_bytes(load_front, text, format="csv") / len(text)
+    ) + last_row
+
+    def load():
+        if last_row:
+            with pytest.raises(ParseError, match="row 'bad': expected 6 cells, got 2"):
+                load_front(text, format="csv")
+        else:
+            load_front(text, format="csv")
+
+    ratio = _peak_bytes(load) / len(text)
     assert ratio < 3, ratio
 
 

@@ -26,6 +26,8 @@ from knee_mcdm.generators import _DISCONNECTED_SEGMENTS, FAMILIES, TABLE1_ROWS
         {"family": "plane3d", "samples": 2},
         {"family": "sphere3d", "samples": 2},
         {"family": "convex2d", "noise": float("nan")},
+        {"family": "convex2d", "seed": -1},
+        {"family": "table1", "seed": -1},  # fixed families reject it too
     ],
 )
 def test_invalid_specs(kwargs):
@@ -156,3 +158,5 @@ def test_random_nondominated_front_properties():
     assert front == random_nondominated_front(40, 5, seed=99)
     with pytest.raises(InvalidSpec):
         random_nondominated_front(0, 5, seed=1)
+    with pytest.raises(InvalidSpec, match="seed must be >= 0, got -1"):
+        random_nondominated_front(5, 3, seed=-1)
