@@ -9,8 +9,9 @@ confined to [0, 1].
 
 ``load_front`` reads a CSV front in one pass, converting the rows as the
 reader yields them and raising the error of the first bad header or row from
-that pass.  A JSON front is checked column by column; a record loop runs
-only when a check fails, to name the first bad record.
+that pass.  A JSON front is converted in one pass over its solution records,
+each checked as it is converted, so the first bad record raises its own
+error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
-from typing import IO, Mapping, NoReturn, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -586,7 +586,7 @@ def _load_json(source: IO | str | bytes, overrides) -> Front:
     # ValueError covers JSONDecodeError and integer literals over the digit limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    del text  # the column pass runs without the input text
+    del text  # the record pass runs without the input text
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -601,79 +601,59 @@ def _load_json(source: IO | str | bytes, overrides) -> Front:
     if not isinstance(solutions, list) or not solutions:
         raise EmptyFront("no solution records")
 
-    columns = _json_columns(solutions, len(names))
-    if columns is None:  # the record loop is the error path only
-        _raise_first_bad_record(solutions, len(names))
+    ids, values, decision = _json_records(solutions, len(names))
     senses = doc.get("senses")
     if senses is not None and not isinstance(senses, list):
         raise ParseError(f'"senses" must be a list, got {senses!r}')
-    return _assemble(names, senses, overrides, *columns)
+    return _assemble(names, senses, overrides, ids, values, decision)
 
 
-def _json_columns(solutions: list, n: int):
+def _json_records(solutions: list, n: int):
     """Ids, the (M, n) objective matrix and the decision vectors (None when
-    no record has one) of the solution records, gathered and checked column
-    by column; None when any check fails."""
-    try:
-        sids = list(map(itemgetter("id"), solutions))
-        fs = list(map(itemgetter("f"), solutions))
-    except (KeyError, TypeError):
-        return None
-    xs = [rec.get("x") for rec in solutions]
-    if not (
-        _ID_TYPES.issuperset(map(type, sids))
-        and set(map(type, fs)) == {list}
-        and set(map(len, fs)) == {n}
-        and _X_TYPES.issuperset(map(type, xs))
-        # float() would also read "1_0" as 10.0 and true as 1.0
-        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(fs)))
-    ):
-        return None
-    # every x is a list or None now, so the chain cannot meet a bare number
-    x_types = set(map(type, chain.from_iterable(filter(None, xs))))
-    if not _NUMBER_TYPES.issuperset(x_types):
-        return None
-    # float() returns a float unchanged, so only an int needs converting
-    vector = (lambda x: tuple(map(float, x))) if int in x_types else tuple
+    no record has one) of the solution records.
+
+    The records are converted as they are checked: one pass checks each
+    record, collects its id and decision vector and feeds its objective
+    values into a single ``np.fromiter(map(float, ...))``, so the first bad
+    record stops the pass with its own error.
+    """
+    ids: list[str] = []
+    xs: list[tuple[float, ...] | None] = []
+
+    def objective_values():
+        for rec in solutions:
+            try:
+                sid = rec["id"]
+                f = rec["f"]
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"bad solution record: {exc}") from None
+            if type(sid) not in _ID_TYPES:
+                raise ParseError(f"solution id must be a string or an integer, got {sid!r}")
+            ids.append(str(sid))
+            if type(f) is not list or len(f) != n:
+                raise ParseError(f"solution {ids[-1]!r}: expected {n} objective values")
+            x = rec.get("x")
+            if type(x) not in _X_TYPES:
+                raise ParseError(f'solution {ids[-1]!r}: "x" must be a list')
+            x_types = set(map(type, x or ()))
+            # float() would also read "1_0" as 10.0 and true as 1.0
+            if not (_NUMBER_TYPES.issuperset(map(type, f)) and _NUMBER_TYPES.issuperset(x_types)):
+                raise ParseError(f"solution {ids[-1]!r}: values must be JSON numbers")
+            if x is not None:
+                # float() returns a float unchanged, so only an int needs converting
+                x = tuple(map(float, x)) if int in x_types else tuple(x)
+            # before the yield: np.fromiter stops at its count, never resuming this
+            xs.append(x)
+            yield f
+
     try:
         values = np.fromiter(
-            map(float, chain.from_iterable(fs)), float, len(fs) * n
-        ).reshape(len(fs), n)
-        decision = None
-        if xs.count(None) != len(xs):
-            decision = tuple(None if x is None else vector(x) for x in xs)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return list(map(str, sids)), values, decision
-
-
-def _raise_first_bad_record(solutions: list, n: int) -> NoReturn:
-    """Error path only: a column check of ``_json_columns`` failed, and this
-    record loop raises the error of the first bad record."""
-    for rec in solutions:
-        try:
-            sid = rec["id"]
-            f = rec["f"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad solution record: {exc}") from None
-        # bool is a subclass of int, but not an id
-        if type(sid) is not str and type(sid) is not int:
-            raise ParseError(f"solution id must be a string or an integer, got {sid!r}")
-        sid = str(sid)
-        if not isinstance(f, list) or len(f) != n:
-            raise ParseError(f"solution {sid!r}: expected {n} objective values")
-        x = rec.get("x")
-        if x is not None and not isinstance(x, list):
-            raise ParseError(f'solution {sid!r}: "x" must be a list')
-        if not _NUMBER_TYPES.issuperset(map(type, f)) or (
-            x is not None and not _NUMBER_TYPES.issuperset(map(type, x))
-        ):
-            raise ParseError(f"solution {sid!r}: values must be JSON numbers")
-        try:
-            list(map(float, chain(f, x or ())))
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ParseError(f"solution {sid!r}: {exc}") from None
-    raise AssertionError("a JSON column check failed on records the record loop accepts")
+            map(float, chain.from_iterable(objective_values())), float, len(solutions) * n
+        )
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
+    decision = None if xs.count(None) == len(xs) else tuple(xs)
+    return ids, values.reshape(len(ids), n), decision
 
 
 #: Code points a str can hold but UTF-8 cannot encode; a JSON ``\ud800``

@@ -23,6 +23,7 @@ samples.  Generation is deterministic per seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -80,6 +81,7 @@ class FrontSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}; pick one of {FAMILIES}")
+        _check_integers(samples=self.samples, seed=self.seed)
         if self.samples < 2:
             raise InvalidSpec(f"samples must be >= 2, got {self.samples}")
         if self.seed < 0:
@@ -93,6 +95,16 @@ class FrontSpec:
                 raise InvalidSpec(f"{self.family} does not accept noise")
         if self.family in ("plane3d", "sphere3d") and self.samples < 3:
             raise InvalidSpec(f"{self.family} needs samples >= 3 (exact corner samples)")
+
+
+def _check_integers(**values) -> None:
+    """Raise InvalidSpec for a value ``operator.index`` rejects; a numpy
+    integer passes, a float or a numeric string does not."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InvalidSpec(f"{name} must be an integer, got {value!r}") from None
 
 
 def _curve_params(spec: FrontSpec) -> np.ndarray:
@@ -204,6 +216,7 @@ def random_nondominated_front(samples: int, dims: int, seed: int) -> Front:
     """Mutually nondominated point cloud: the positive octant of the unit
     sphere in ``dims`` dimensions.  Useful for cross-method checks and timing
     at arbitrary dimension."""
+    _check_integers(samples=samples, dims=dims, seed=seed)
     if samples < 1 or dims < 2:
         raise InvalidSpec(f"need samples >= 1 and dims >= 2, got {samples}, {dims}")
     if seed < 0:

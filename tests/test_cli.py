@@ -406,6 +406,15 @@ BAD_INPUTS = {
     "huge-int.json": '{"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [1'
     + "0" * 5000 + ", 0]}]}",
     "empty-name.csv": "id,a,\nx,0,1\ny,1,0\n",
+    "x-huge-int.json": json.dumps(
+        {"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [0, 1], "x": [10**400]}]}
+    ),
+    "x-not-a-list.json": json.dumps(
+        {"objectives": ["f1", "f2"], "solutions": [{"id": "a", "f": [0, 1], "x": 5}]}
+    ),
+    "record-not-an-object.json": json.dumps(
+        {"objectives": ["f1", "f2"], "solutions": [1, 2]}
+    ),
     **{
         f"{name}.json": json.dumps(
             {"objectives": names, "solutions": [{"id": "b", "f": [1, 0]}, {"id": sid, "f": f, **x}]}

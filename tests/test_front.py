@@ -243,6 +243,11 @@ _JSON_CORRUPTIONS = {
     "id-null": lambda rec: {**rec, "id": None},
     "no-f": lambda rec: {"id": rec["id"]},
     "not-an-object": lambda rec: [rec["id"]],
+    "x-huge-int": lambda rec: {**rec, "x": [10**400]},
+    "x-not-a-list": lambda rec: {**rec, "x": 5},
+    "f-not-a-list": lambda rec: {**rec, "f": 3},
+    "f-null": lambda rec: {**rec, "f": None},
+    "id-float": lambda rec: {**rec, "id": 1.5},
 }
 
 

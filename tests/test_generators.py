@@ -28,6 +28,10 @@ from knee_mcdm.generators import _DISCONNECTED_SEGMENTS, FAMILIES, TABLE1_ROWS
         {"family": "convex2d", "noise": float("nan")},
         {"family": "convex2d", "seed": -1},
         {"family": "table1", "seed": -1},  # fixed families reject it too
+        {"family": "convex2d", "seed": 1.5},
+        {"family": "convex2d", "samples": 2.5},
+        {"family": "convex2d", "samples": "5"},
+        {"family": "table1", "seed": 1.5},
     ],
 )
 def test_invalid_specs(kwargs):
@@ -38,6 +42,8 @@ def test_invalid_specs(kwargs):
 def test_generation_is_deterministic():
     spec = FrontSpec(family="convex2d", samples=25, seed=77)
     assert generate(spec) == generate(spec)
+    numpy_ints = FrontSpec(family="convex2d", samples=np.int64(25), seed=np.uint8(77))
+    assert generate(numpy_ints) == generate(spec)
     other = generate(FrontSpec(family="convex2d", samples=25, seed=78))
     assert not np.array_equal(other.objectives, generate(spec).objectives)
 
@@ -160,3 +166,7 @@ def test_random_nondominated_front_properties():
         random_nondominated_front(0, 5, seed=1)
     with pytest.raises(InvalidSpec, match="seed must be >= 0, got -1"):
         random_nondominated_front(5, 3, seed=-1)
+    for args in [(5, 3, 1.5), (2.5, 3, 1), ("5", 3, 1), (5, 3.0, 1)]:
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            random_nondominated_front(*args)
+    assert random_nondominated_front(np.int64(40), np.int64(5), seed=np.int64(99)) == front
