@@ -8,7 +8,6 @@ and a knockout tournament of pairwise net-improvement comparisons.
 
 from .errors import (
     AllDimensionsDegenerate,
-    DegenerateDimension,
     DegenerateSpreadWarning,
     DuplicateId,
     EmptyFront,
@@ -45,10 +44,7 @@ from .selection import (
     EquivalenceClass,
     EquivalenceClasses,
     EquivalenceReport,
-    SolutionScore,
     build_classes,
-    improvement_percentage,
-    net_improvement,
     rank,
     select_dnc,
     select_mmd,
@@ -63,7 +59,6 @@ __all__ = [
     "ComparisonRecord",
     "DEFAULT_EPSILON",
     "Decision",
-    "DegenerateDimension",
     "DegenerateSpreadWarning",
     "DuplicateId",
     "EmptyFront",
@@ -82,16 +77,13 @@ __all__ = [
     "NonFiniteValue",
     "NormalizedFront",
     "ParseError",
-    "SolutionScore",
     "SpreadOverflow",
     "UnknownId",
     "build_classes",
     "dominance_filter",
     "expected_selection",
     "generate",
-    "improvement_percentage",
     "load_front",
-    "net_improvement",
     "normalize",
     "random_nondominated_front",
     "rank",

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-import statistics
 import sys
 
 from . import __version__
@@ -242,18 +241,18 @@ def cmd_rank(args) -> int:
     if args.output_format == "json":
         rows = [
             {"rank": k + 1, "ids": list(cls.ids), "mmd": cls.mmd, "ws": cls.ws}
-            for k, (cls, _) in enumerate(ranking)
+            for k, cls in enumerate(ranking)
         ]
         _emit(args, json.dumps(rows) + "\n")
     elif args.output_format == "csv":
         rows = (
             [k + 1, ";".join(map(_escape_id, cls.ids)), repr(cls.mmd), repr(cls.ws)]
-            for k, (cls, _) in enumerate(ranking)
+            for k, cls in enumerate(ranking)
         )
         _emit(args, _csv_text(["rank", "ids", "mmd", "ws"], rows))
     else:
         lines = [f"{'rank':>4}  {'mmd':>14}  {'ws':>14}  ids"]
-        for k, (cls, _) in enumerate(ranking):
+        for k, cls in enumerate(ranking):
             lines.append(
                 f"{k + 1:>4}  {cls.mmd:>14.8g}  {cls.ws:>14.8g}  {' '.join(cls.ids)}"
             )
@@ -283,7 +282,7 @@ def cmd_verify(args) -> int:
         lines.append(
             f"self-test fronts: {len(classes) - failed}/{len(classes)} pass "
             f"(classes per front: min {min(classes)}, "
-            f"median {statistics.median_high(classes)}, max {max(classes)})"
+            f"median {sorted(classes)[len(classes) // 2]}, max {max(classes)})"
         )
     _emit(args, "\n".join(lines) + "\n")
     if not report.passed or failed:

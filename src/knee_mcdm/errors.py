@@ -40,10 +40,6 @@ class UnknownId(KneeMCDMError):
         self.solution_id = solution_id
 
 
-class DegenerateDimension(KneeMCDMError):
-    """Requested a per-dimension quantity on a zero-spread dimension."""
-
-
 class AllDimensionsDegenerate(KneeMCDMError):
     """Every objective has zero spread: all solutions coincide, selection is vacuous."""
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidSpec, NoExpectation
-from .front import Front
+from .front import Front, normalize
 from .selection import Decision
 
 _FIXED_FAMILIES = {"table1", "table2like"}
@@ -86,8 +87,9 @@ class FrontSpec:
             raise InvalidSpec(f"samples must be >= 2, got {self.samples}")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.noise) and self.noise >= 0.0):
-            raise InvalidSpec(f"noise must be finite and >= 0, got {self.noise}")
+        noise = self.noise
+        if not (isinstance(noise, Real) and math.isfinite(noise) and noise >= 0.0):
+            raise InvalidSpec(f"noise must be finite and >= 0, got {noise!r}")
         if self.family in _FIXED_FAMILIES:
             if self.samples != 16:
                 raise InvalidSpec(f"{self.family} is a fixed 16-point front")
@@ -282,8 +284,8 @@ def _check_table1(front: Front, decision: Decision) -> bool:
 
 
 def _check_table2like(front: Front, decision: Decision) -> bool:
-    ws = np.array([s.ws for s in decision.scores])
-    mmd = np.array([s.mmd for s in decision.scores])
+    nf = normalize(front)
+    ws, mmd = nf.ws_scores, nf.mmd_scores
     ws_rel_spread = (ws.max() - ws.min()) / max(1.0, abs(ws.min()))
     winner = set(decision.winner_ids)
     return (

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDimension, EquivalenceViolation, InvalidEpsilon
+from .errors import EquivalenceViolation, InvalidEpsilon
 from .front import NormalizedFront, negate_max_columns
 
 #: Default relative tolerance for grouping near-equal scores.
@@ -45,12 +45,6 @@ DEFAULT_SEEDS = (1, 2, 3, 4)
 
 #: Tolerance (scaled by max(1, |offset|)) for the ws-minus-mmd constant check.
 OFFSET_TOL = 1e-9
-
-
-class SolutionScore(NamedTuple):
-    id: str
-    mmd: float
-    ws: float
 
 
 class ComparisonRecord(NamedTuple):
@@ -137,8 +131,7 @@ class Decision:
     the objective rows of the winner's members in ``winner.ids`` order, as
     they were input ("max" columns not negated; read-only); ``c_min_mmd`` and
     ``c_min_ws``, the smallest Manhattan distance and weighted sum over the
-    front (scores, so in minimization form); ``scores``, every solution in
-    front row order.
+    front (scores, so in minimization form).
     """
 
     method: str
@@ -162,15 +155,6 @@ class Decision:
     @cached_property
     def c_min_ws(self) -> float:
         return float(self._nf.ws_scores.min())
-
-    @cached_property
-    def scores(self) -> tuple[SolutionScore, ...]:
-        d = self._nf.mmd_scores
-        ws = self._nf.ws_scores
-        return tuple(
-            SolutionScore(sid, float(d[k]), float(ws[k]))
-            for k, sid in enumerate(self._nf.base.ids)
-        )
 
     @property
     def winner_ids(self) -> tuple[str, ...]:
@@ -220,34 +204,10 @@ class Decision:
         return "".join(parts)
 
 
-#: ``json.dumps`` layout of one ``SolutionScore`` and one ``ComparisonRecord``
+#: ``json.dumps`` layout of one row's scores and one ``ComparisonRecord``
 #: (the id is already encoded).
 _SCORE_JSON = '{"id": %s, "mmd": %r, "ws": %r}'
 _RECORD_JSON = '{"left": %d, "right": %d, "ip": %r, "winner": %d}'
-
-
-def improvement_percentage(nf: NormalizedFront, i: str, j: str, dim: int) -> float:
-    """Percent improvement in one dimension when moving from solution i to j.
-
-    ``dim`` is a zero-based column index.  Positive when j is better
-    (smaller) in that dimension; measured relative to the dimension's spread.
-    """
-    if dim in nf.degenerate_dims:
-        raise DegenerateDimension(
-            f"dimension {dim} has zero spread; improvement undefined"
-        )
-    dev = nf.deviations
-    return 100.0 * (dev[nf.index_of(i), dim] - dev[nf.index_of(j), dim])
-
-
-def net_improvement(nf: NormalizedFront, i: str, j: str) -> float:
-    """Net improvement percentage of the transition i -> j over all dimensions.
-
-    Computed as the difference of the two per-solution score sums, so the
-    value is exactly antisymmetric and exactly zero for i == j.
-    """
-    d = nf.mmd_scores
-    return 100.0 * (d[nf.index_of(i)] - d[nf.index_of(j)])
 
 
 def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> EquivalenceClasses:
@@ -368,12 +328,10 @@ def select_dnc(
     return Decision("dnc", classes[k], nf, trace)
 
 
-def rank(
-    nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON
-) -> list[tuple[EquivalenceClass, float]]:
-    """All equivalence classes with their representative Manhattan distances,
-    ascending; position 0 is the winner class."""
-    return [(cls, cls.mmd) for cls in build_classes(nf, epsilon)]
+def rank(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> list[EquivalenceClass]:
+    """All equivalence classes, ascending by representative Manhattan
+    distance; position 0 is the winner class."""
+    return list(build_classes(nf, epsilon))
 
 
 @dataclass(frozen=True)

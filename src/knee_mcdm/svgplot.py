@@ -11,7 +11,6 @@ and the characters XML 1.0 forbids are replaced with U+FFFD.
 from __future__ import annotations
 
 import re
-from xml.sax.saxutils import escape
 
 from .front import SENSE_MAX, NormalizedFront
 from .selection import Decision
@@ -34,7 +33,8 @@ def _fmt(v: float) -> str:
 
 
 def _text(s: str) -> str:
-    return escape(_XML_FORBIDDEN.sub("\ufffd", s))
+    s = _XML_FORBIDDEN.sub("\ufffd", s)
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:

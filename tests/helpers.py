@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from knee_mcdm import EmptyFront, Front, ParseError
+from knee_mcdm import EmptyFront, Front, KneeMCDMError, ParseError
 from knee_mcdm.front import _assemble
 
 
@@ -71,6 +71,33 @@ def reference_partition(nf, epsilon):
         (tuple(ids[k] for k in members), float(d[members[0]]), float(ws[members[0]]))
         for members in classes
     ]
+
+
+class DegenerateDimension(KneeMCDMError):
+    """Requested a per-dimension quantity on a zero-spread dimension."""
+
+
+def improvement_percentage(nf, i, j, dim):
+    """Percent improvement in one dimension when moving from solution i to j.
+
+    The paper's pairwise definition, kept as an oracle for the score vector:
+    ``dim`` is a zero-based column index; positive when j is better (smaller)
+    in that dimension; measured relative to the dimension's spread.
+    """
+    if dim in nf.degenerate_dims:
+        raise DegenerateDimension(f"dimension {dim} has zero spread; improvement undefined")
+    dev = nf.deviations
+    return 100.0 * (dev[nf.index_of(i), dim] - dev[nf.index_of(j), dim])
+
+
+def net_improvement(nf, i, j):
+    """Net improvement percentage of the transition i -> j over all dimensions.
+
+    Computed as the difference of the two per-solution score sums, so the
+    value is exactly antisymmetric and exactly zero for i == j.
+    """
+    d = nf.mmd_scores
+    return 100.0 * (d[nf.index_of(i)] - d[nf.index_of(j)])
 
 
 def reference_load_csv(text: str, overrides=None) -> Front:

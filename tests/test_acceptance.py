@@ -15,7 +15,6 @@ from knee_mcdm import (
     dominance_filter,
     expected_selection,
     generate,
-    net_improvement,
     normalize,
     random_nondominated_front,
     select_dnc,
@@ -24,7 +23,7 @@ from knee_mcdm import (
 )
 from knee_mcdm.bench import run_bench
 
-from helpers import brute_force_nondominated, make_front
+from helpers import brute_force_nondominated, make_front, net_improvement
 
 # Reference MMD / WS columns for the fixed 16-point front (4-decimal table
 # values; reproduction tolerance covers the rounding).
@@ -72,8 +71,8 @@ def test_table1_reproduction():
     ws = select_ws(nf)
     elapsed = time.perf_counter() - start
 
-    mmd_by_id = {s.id: s.mmd for s in mmd.scores}
-    ws_by_id = {s.id: s.ws for s in ws.scores}
+    mmd_by_id = dict(zip(nf.base.ids, nf.mmd_scores.tolist()))
+    ws_by_id = dict(zip(nf.base.ids, nf.ws_scores.tolist()))
     for k in range(16):
         sid = f"x{k + 1}"
         assert abs(mmd_by_id[sid] - TABLE1_MMD[k]) <= 5e-4, sid
@@ -154,9 +153,9 @@ def test_shape_properties():
 
 def test_table2_pathology():
     front = generate(FrontSpec(family="table2like"))
-    decision = select_mmd(normalize(front))
-    ws = np.array([s.ws for s in decision.scores])
-    mmd = np.array([s.mmd for s in decision.scores])
+    nf = normalize(front)
+    decision = select_mmd(nf)
+    ws, mmd = nf.ws_scores, nf.mmd_scores
     ws_rel_spread = (ws.max() - ws.min()) / abs(ws.min())
     mmd_span = mmd.max() - mmd.min()
     f1 = front.objectives[:, 0]

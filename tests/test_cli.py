@@ -469,36 +469,69 @@ def test_bad_input_exits_2(name, tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_errors_exit_2_under_optimized_interpreter(tmp_path):
-    # -O strips asserts: every check on these paths must raise regardless
-    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    cases = [({cli.EPSILON_ENV: "nan"}, "tie.csv", TWO_POINT_TIE)]
-    cases += [({}, name, text) for name, text in BAD_INPUTS.items()]
+#: Runs ``cli.main`` over ``(name, argv, env)`` cases given as JSON in argv[1];
+#: prints a JSON map from name to exit code, or to the traceback text of any
+#: exception ``main`` let through.
+_EXIT_CODES_CHILD = """
+import contextlib, io, json, os, sys, traceback
+from knee_mcdm import cli
+codes = {}
+for name, argv, env in json.loads(sys.argv[1]):
+    os.environ.update(env)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes[name] = cli.main(argv)
+    except Exception:
+        codes[name] = traceback.format_exc()
+    for key in env:
+        del os.environ[key]
+print(json.dumps(codes))
+"""
+
+
+def _assert_each_exits_2_in_one_child(interpreter_flags, command, cases, tmp_path):
+    """Run ``command`` on each ``(env, name, text)`` case through ``cli.main``,
+    all in one interpreter started with ``interpreter_flags``, and assert that
+    every case exits 2 with no traceback."""
+    runs = []
     for extra, name, text in cases:
         path = tmp_path / name
         path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "knee_mcdm", "select", "--method", "dnc",
-             "--input", str(path), "--format", path.suffix[1:]],
-            capture_output=True, text=True, env={**env, **extra},
-        )
-        assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
+        runs.append((name, command + ["--input", str(path), "--format", path.suffix[1:]], extra))
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *interpreter_flags, "-c", _EXIT_CODES_CHILD, json.dumps(runs)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    for name, _, _ in runs:
+        assert codes[name] == 2, (name, codes[name])
+
+
+def test_errors_exit_2_under_optimized_interpreter(tmp_path):
+    # -O strips asserts: every check on these paths must raise regardless
+    cases = [({cli.EPSILON_ENV: "nan"}, "tie.csv", TWO_POINT_TIE)]
+    cases += [({}, name, text) for name, text in BAD_INPUTS.items()]
+    _assert_each_exits_2_in_one_child(["-O"], ["select", "--method", "dnc"], cases, tmp_path)
 
 
 def test_errors_exit_2_under_warnings_as_errors(tmp_path):
     # -W error turns a floating-point RuntimeWarning into a traceback (exit 1)
+    cases = [({}, name, text) for name, text in BAD_INPUTS.items()]
+    _assert_each_exits_2_in_one_child(["-W", "error"], ["select"], cases, tmp_path)
+
+
+def test_cli_import_skips_unused_stdlib_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email, ssl and socket
     src = str(Path(knee_mcdm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    for name, text in BAD_INPUTS.items():
-        path = tmp_path / name
-        path.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "knee_mcdm", "select",
-             "--input", str(path), "--format", path.suffix[1:]],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2, (name, proc.stdout, proc.stderr)
+    unused = ["xml.sax", "urllib.request", "http.client", "email", "ssl", "statistics"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, knee_mcdm.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(set(unused) & set(proc.stdout.split())) == []
 
 
 @pytest.mark.parametrize(

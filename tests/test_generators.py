@@ -32,6 +32,8 @@ from knee_mcdm.generators import _DISCONNECTED_SEGMENTS, FAMILIES, TABLE1_ROWS
         {"family": "convex2d", "samples": 2.5},
         {"family": "convex2d", "samples": "5"},
         {"family": "table1", "seed": 1.5},
+        {"family": "convex2d", "noise": "0.1"},
+        {"family": "convex2d", "noise": None},
     ],
 )
 def test_invalid_specs(kwargs):
@@ -108,9 +110,9 @@ def test_table2like_scale_pathology():
     front = generate(FrontSpec(family="table2like"))
     f1 = front.objectives[:, 0]
     assert f1.min() == 4e10 and f1.max() == 4e10 + 3
-    decision = select_mmd(normalize(front))
-    ws = np.array([s.ws for s in decision.scores])
-    mmd = np.array([s.mmd for s in decision.scores])
+    nf = normalize(front)
+    decision = select_mmd(nf)
+    ws, mmd = nf.ws_scores, nf.mmd_scores
     assert (ws.max() - ws.min()) / abs(ws.min()) < 1e-6
     assert mmd.max() - mmd.min() >= 0.5
     assert decision.winner_ids not in (("x1",), ("x16",))

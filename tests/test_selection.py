@@ -8,15 +8,12 @@ from hypothesis import strategies as st
 
 from knee_mcdm import (
     AllDimensionsDegenerate,
-    DegenerateDimension,
     DegenerateSpreadWarning,
     EquivalenceViolation,
     InvalidEpsilon,
     UnknownId,
     build_classes,
-    improvement_percentage,
     load_front,
-    net_improvement,
     normalize,
     rank,
     select_dnc,
@@ -31,7 +28,13 @@ from knee_mcdm.generators import (
     random_nondominated_front,
 )
 
-from helpers import make_front, reference_partition
+from helpers import (
+    DegenerateDimension,
+    improvement_percentage,
+    make_front,
+    net_improvement,
+    reference_partition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +104,7 @@ def test_net_improvement_antisymmetric_exact_1000_pairs():
 
 
 def test_net_improvement_equals_ws_difference(table1_nf):
-    ws = {s.id: s.ws for s in select_ws(table1_nf).scores}
+    ws = dict(zip(table1_nf.base.ids, table1_nf.ws_scores.tolist()))
     got = net_improvement(table1_nf, "x4", "x9")
     assert got == pytest.approx(100.0 * (ws["x4"] - ws["x9"]), abs=1e-9)
 
@@ -401,11 +404,11 @@ def test_mmd_winner_class_equals_first_partition_class(m, n, seed, eps):
     # winner members sit at c_min within tolerance, everyone else above it
     tol = eps * max(1.0, abs(decision.c_min_mmd))
     winners = set(decision.winner_ids)
-    for s in decision.scores:
-        if s.id in winners:
-            assert s.mmd <= decision.c_min_mmd + tol
+    for sid, mmd in zip(nf.base.ids, nf.mmd_scores.tolist()):
+        if sid in winners:
+            assert mmd <= decision.c_min_mmd + tol
         else:
-            assert s.mmd > decision.c_min_mmd + tol
+            assert mmd > decision.c_min_mmd + tol
 
 
 def test_trace_records_are_consistent(table1_nf):
@@ -436,9 +439,9 @@ def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
 
 def test_rank_table1_head(table1_nf):
     ranking = rank(table1_nf)
-    ids = [cls.ids for cls, _ in ranking[:3]]
+    ids = [cls.ids for cls in ranking[:3]]
     assert ids == [("x6",), ("x2",), ("x8",)]
-    scores = [score for _, score in ranking[:3]]
+    scores = [cls.mmd for cls in ranking[:3]]
     assert scores == pytest.approx([0.8448, 0.8462, 0.9232], abs=5e-4)
 
 
@@ -451,10 +454,10 @@ def test_rank_two_point_tie_is_single_class():
 def test_rank_matches_sorted_ws_order():
     nf = _random_nf(40, 4, seed=21)
     ranking = rank(nf)
-    by_rank = [sid for cls, _ in ranking for sid in cls.ids]
-    ws = {s.id: s.ws for s in select_ws(nf).scores}
+    by_rank = [sid for cls in ranking for sid in cls.ids]
+    ws = dict(zip(nf.base.ids, nf.ws_scores.tolist()))
     assert by_rank == sorted(by_rank, key=lambda sid: (ws[sid], sid))
-    assert rank(nf)[0][0].ids == select_mmd(nf).winner_ids
+    assert rank(nf)[0].ids == select_mmd(nf).winner_ids
 
 
 # ------------------------------------------------------------ equivalence
@@ -590,7 +593,12 @@ def test_decision_json_equals_decision_fields(table1_nf, select):
         "knee": decision.knee.tolist(),
         "c_min_mmd": decision.c_min_mmd,
         "c_min_ws": decision.c_min_ws,
-        "scores": [s._asdict() for s in decision.scores],
+        "scores": [
+            {"id": sid, "mmd": mmd, "ws": ws}
+            for sid, mmd, ws in zip(
+                table1_nf.base.ids, table1_nf.mmd_scores.tolist(), table1_nf.ws_scores.tolist()
+            )
+        ],
     }
     if decision.trace is not None:
         expected["trace"] = [r._asdict() for r in decision.trace]
@@ -639,7 +647,10 @@ def test_decision_json_is_byte_identical_to_json_dumps(ids, n, data):
             "knee": decision.knee.tolist(),
             "c_min_mmd": decision.c_min_mmd,
             "c_min_ws": decision.c_min_ws,
-            "scores": [{"id": s.id, "mmd": s.mmd, "ws": s.ws} for s in decision.scores],
+            "scores": [
+                {"id": sid, "mmd": mmd, "ws": ws}
+                for sid, mmd, ws in zip(nf.base.ids, nf.mmd_scores.tolist(), nf.ws_scores.tolist())
+            ],
         }
         if decision.trace is not None:
             expected["trace"] = [

@@ -1,9 +1,12 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knee_mcdm import FrontSpec, generate, normalize, select_mmd
-from knee_mcdm.svgplot import render_decision_svg
+from knee_mcdm.svgplot import _XML_FORBIDDEN, _text, render_decision_svg
 
 from helpers import make_front
 
@@ -76,3 +79,8 @@ def test_svg_replaces_xml_forbidden_characters():
     texts = [t.text for t in root.iter(f"{ns}text")]
     assert texts[0] == "a\ufffd (normalized)"
     assert "winner={y\ufffd}" in texts[2]
+
+
+@given(st.text(st.one_of(st.sampled_from("&<>;#amplgt\x01\x0b\ud800\uffff"), st.characters())))
+def test_text_escapes_as_saxutils(s):
+    assert _text(s) == escape(_XML_FORBIDDEN.sub("\ufffd", s))
