@@ -19,7 +19,6 @@ from .errors import (
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
-    UnknownId,
 )
 from .front import (
     Front,
@@ -78,7 +77,6 @@ __all__ = [
     "NormalizedFront",
     "ParseError",
     "SpreadOverflow",
-    "UnknownId",
     "build_classes",
     "dominance_filter",
     "expected_selection",

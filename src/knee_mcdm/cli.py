@@ -21,7 +21,7 @@ import sys
 from . import __version__
 from .bench import run_bench
 from .errors import AllDimensionsDegenerate, EquivalenceViolation, KneeMCDMError
-from .front import Front, NormalizedFront, dominance_filter, load_front, normalize, write_front
+from .front import Front, dominance_filter, load_front, normalize, write_front
 from .generators import FAMILIES, FrontSpec, agreement_corpus, generate
 from .selection import (
     DEFAULT_EPSILON,
@@ -205,7 +205,8 @@ def _csv_text(header: list[str], rows) -> str:
     return text.getvalue()
 
 
-def _decision_csv(nf: NormalizedFront, decision: Decision) -> str:
+def _decision_csv(decision: Decision) -> str:
+    nf = decision.nf
     ids, winner = nf.base.ids, set(decision.winner_ids)
     flags = (int(sid in winner) for sid in ids)
     rows = zip(ids, map(repr, nf.mmd_scores.tolist()), map(repr, nf.ws_scores.tolist()), flags)
@@ -224,7 +225,7 @@ def cmd_select(args) -> int:
     if args.output_format == "json":
         _emit(args, decision.to_json() + "\n")
     elif args.output_format == "csv":
-        _emit(args, _decision_csv(nf, decision))
+        _emit(args, _decision_csv(decision))
     else:
         _emit(args, _decision_text(decision, removed))
     return EXIT_OK
@@ -315,7 +316,7 @@ def cmd_plot(args) -> int:
         )
         return EXIT_PLOT_DIMS
     decision = select_mmd(nf, _epsilon(args))
-    _emit(args, render_decision_svg(nf, decision))
+    _emit(args, render_decision_svg(decision))
     return EXIT_OK
 
 

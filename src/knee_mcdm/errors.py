@@ -32,14 +32,6 @@ class EmptyFront(KneeMCDMError):
     """The front contains no solutions."""
 
 
-class UnknownId(KneeMCDMError):
-    """A solution id does not exist in the front."""
-
-    def __init__(self, solution_id: str):
-        super().__init__(f"unknown solution id {solution_id!r}")
-        self.solution_id = solution_id
-
-
 class AllDimensionsDegenerate(KneeMCDMError):
     """Every objective has zero spread: all solutions coincide, selection is vacuous."""
 

@@ -37,7 +37,6 @@ from .errors import (
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
-    UnknownId,
 )
 
 SENSE_MIN = "min"
@@ -80,7 +79,8 @@ class Front:
         ids: M unique solution ids, in input order.
         objectives: read-only (M, N) float array.
         decision_vectors: optional per-solution decision-variable payloads,
-            aligned with ``ids``; entries may be None.
+            aligned with ``ids``; entries may be None, and a tuple of only
+            None entries is stored as None.
     """
 
     objective_names: tuple[str, ...]
@@ -146,8 +146,11 @@ class Front:
             row, col = np.argwhere(bad)[0]
             raise NonFiniteValue(ids[row], names[col])
 
-        if xs is not None and len(xs) != m:
-            raise ParseError(f"{len(xs)} decision vectors for {m} rows")
+        if xs is not None:
+            if len(xs) != m:
+                raise ParseError(f"{len(xs)} decision vectors for {m} rows")
+            if xs.count(None) == m:
+                xs = None
 
         f.flags.writeable = False
         object.__setattr__(self, "objective_names", names)
@@ -163,16 +166,6 @@ class Front:
     @property
     def n(self) -> int:
         return self.objectives.shape[1]
-
-    @cached_property
-    def _row_of(self) -> dict[str, int]:
-        return {sid: k for k, sid in enumerate(self.ids)}
-
-    def index_of(self, solution_id: str) -> int:
-        try:
-            return self._row_of[solution_id]
-        except KeyError:
-            raise UnknownId(solution_id) from None
 
     def take(self, indices: Sequence[int]) -> "Front":
         """Sub-front with the given rows, keeping names and senses."""
@@ -255,9 +248,6 @@ class NormalizedFront:
         """Sum of ell/L over non-degenerate dimensions; the constant by which
         weighted sums exceed Manhattan distances."""
         return float(self.y_opt.sum())
-
-    def index_of(self, solution_id: str) -> int:
-        return self.base.index_of(solution_id)
 
 
 def normalize(front: Front) -> NormalizedFront:
@@ -609,8 +599,8 @@ def _load_json(source: IO | str | bytes, overrides) -> Front:
 
 
 def _json_records(solutions: list, n: int):
-    """Ids, the (M, n) objective matrix and the decision vectors (None when
-    no record has one) of the solution records.
+    """Ids, the (M, n) objective matrix and the decision vectors of the
+    solution records.
 
     The records are converted as they are checked: one pass checks each
     record, collects its id and decision vector and feeds its objective
@@ -652,8 +642,7 @@ def _json_records(solutions: list, n: int):
         )
     except OverflowError as exc:  # an integer beyond the float range
         raise ParseError(f"solution {ids[-1]!r}: {exc}") from None
-    decision = None if xs.count(None) == len(xs) else tuple(xs)
-    return ids, values.reshape(len(ids), n), decision
+    return ids, values.reshape(len(ids), n), tuple(xs)
 
 
 #: Code points a str can hold but UTF-8 cannot encode; a JSON ``\ud800``

@@ -17,8 +17,10 @@ Solutions whose scores differ by less than a tolerance form one equivalence
 class and win or lose together.
 
 The selectors, ``rank`` and ``verify_equivalence`` are views over one
-partition, ``build_classes``, which is also the one place that validates the
-tolerance.
+partition, ``build_classes``: one sort of the rows by (distance, id) and one
+walk over it.  The partition keeps the row position of every member, so no
+selector maps an id back to its row.  ``build_classes`` is also the one place
+that validates the tolerance.
 """
 
 from __future__ import annotations
@@ -66,10 +68,12 @@ class EquivalenceClass:
     """Solutions with mutually zero net improvement percentage (within tolerance).
 
     ``mmd`` and ``ws`` are the scores of the representative member (the one
-    with the smallest Manhattan distance, ties broken by id).
+    with the smallest Manhattan distance, ties broken by id).  ``rows`` holds
+    the members' row positions in the front, parallel to ``ids``.
     """
 
     ids: tuple[str, ...]
+    rows: tuple[int, ...]
     mmd: float
     ws: float
 
@@ -86,17 +90,20 @@ class EquivalenceClasses:
 
     * ``ids``: every solution id, class by class, each class in (mmd, id)
       order;
+    * ``rows``: the row position in the front of each id, parallel to
+      ``ids``;
     * ``starts``: class bounds, so class ``k`` holds
       ``ids[starts[k]:starts[k + 1]]``; ``starts[-1] == len(ids)``;
     * ``mmd`` and ``ws``: the representative's scores, one float per class;
     * ``epsilon``: the tolerance the classes were built with.
 
-    ``build_classes`` is the one producer; the constructor takes the five
+    ``build_classes`` is the one producer; the constructor takes the six
     columns as they are.  Indexing and iteration build ``EquivalenceClass``
     objects on access.
     """
 
     ids: tuple[str, ...]
+    rows: tuple[int, ...]
     starts: tuple[int, ...]
     mmd: tuple[float, ...]
     ws: tuple[float, ...]
@@ -111,20 +118,13 @@ class EquivalenceClasses:
     def __getitem__(self, k: int) -> EquivalenceClass:
         k = range(len(self.mmd))[k]  # negative indices and IndexError, as a tuple
         a, b = self.starts[k], self.starts[k + 1]
-        return EquivalenceClass(self.ids[a:b], self.mmd[k], self.ws[k])
-
-    def class_index_of(self, solution_id: str) -> int:
-        try:
-            pos = self.ids.index(solution_id)
-        except ValueError:
-            raise KeyError(solution_id) from None
-        return bisect_right(self.starts, pos) - 1
+        return EquivalenceClass(self.ids[a:b], self.rows[a:b], self.mmd[k], self.ws[k])
 
 
 @dataclass(frozen=True, eq=False)
 class Decision:
-    """Outcome of one selection run: a view over the winner class and the
-    normalized front it was selected from.
+    """Outcome of one selection run: a view over the winner class and
+    ``nf``, the normalized front it was selected from.
 
     ``winner`` is always a whole equivalence class; ``trace`` is only
     populated by the tournament selector.  Derived on first access: ``knee``,
@@ -136,25 +136,23 @@ class Decision:
 
     method: str
     winner: EquivalenceClass
-    _nf: NormalizedFront = field(repr=False)
+    nf: NormalizedFront = field(repr=False)
     trace: tuple[ComparisonRecord, ...] | None = None
 
     @cached_property
     def knee(self) -> np.ndarray:
-        base = self._nf.base
-        knee = negate_max_columns(
-            base.objectives[list(map(base.index_of, self.winner.ids))], base.senses
-        )
+        base = self.nf.base
+        knee = negate_max_columns(base.objectives[list(self.winner.rows)], base.senses)
         knee.flags.writeable = False
         return knee
 
     @cached_property
     def c_min_mmd(self) -> float:
-        return float(self._nf.mmd_scores.min())
+        return float(self.nf.mmd_scores.min())
 
     @cached_property
     def c_min_ws(self) -> float:
-        return float(self._nf.ws_scores.min())
+        return float(self.nf.ws_scores.min())
 
     @property
     def winner_ids(self) -> tuple[str, ...]:
@@ -182,7 +180,7 @@ class Decision:
         and each ws is a sum of N bounded terms; and each trace ip is 100
         times the difference of two representatives' mmd.
         """
-        nf = self._nf
+        nf = self.nf
         head = json.dumps(
             {
                 "method": self.method,
@@ -221,13 +219,10 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
     Clustering on ideal-anchored distances rather than raw weighted sums
     keeps the grouping scale-free when the raw values sit far from zero.
 
-    One vectorised step computes the tolerance ``epsilon * max(1, d[k])`` of
-    every sorted distance (distances are >= 0).  If every sorted step
-    ``d[k] - d[k-1]`` exceeds the tolerance of ``d[k-1]``, each row is its
-    own class: that is the predicate with each row as its own representative,
-    and no exact tie can exist, as a zero step exceeds no tolerance.
-    Otherwise runs of exactly equal distance are ordered by id and one walk
-    applies the predicate of ``tests/helpers.reference_partition`` row by row.
+    The rows are put in id order and then sorted stably by distance, which
+    orders them by (distance, id); one walk then applies the predicate of
+    ``tests/helpers.reference_partition`` row by row.  The sorted row
+    positions are kept as the partition's ``rows``.
 
     Raises InvalidEpsilon unless ``epsilon`` is finite and >= 0.
     """
@@ -235,34 +230,22 @@ def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Equi
         raise InvalidEpsilon(f"epsilon must be finite and >= 0, got {epsilon!r}")
     ids = nf.base.ids
     m = len(ids)
-    order = np.argsort(nf.mmd_scores, kind="stable")
+    id_order = np.array(sorted(range(m), key=ids.__getitem__), dtype=np.intp)
+    order = id_order[np.argsort(nf.mmd_scores[id_order], kind="stable")]
     d_sorted = nf.mmd_scores[order]
     tol = epsilon * np.maximum(1.0, d_sorted)  # d >= 0, so |d| == d
-    step = d_sorted[1:] - d_sorted[:-1]
-    if (step > tol[:-1]).all():
-        starts = np.arange(m)
-    else:
-        if not step.all():
-            # the id decides the order only inside runs of exactly equal distance
-            tied = np.flatnonzero(step == 0.0)  # d_sorted[k] == d_sorted[k + 1]
-            cut = np.flatnonzero(np.diff(tied) > 1)
-            run_lo = tied[np.concatenate(([0], cut + 1))]
-            run_hi = tied[np.concatenate((cut, [-1]))] + 2
-            order = order.tolist()
-            for a, b in zip(run_lo.tolist(), run_hi.tolist()):
-                order[a:b] = sorted(order[a:b], key=ids.__getitem__)
-            order = np.array(order, dtype=np.intp)
-        d, tol = d_sorted.tolist(), tol.tolist()
-        starts = [0]
-        rep, rep_tol = d[0], tol[0]
-        for k, dk in enumerate(d):
-            if dk - rep > rep_tol:
-                starts.append(k)
-                rep, rep_tol = dk, tol[k]
-        starts = np.array(starts, dtype=np.intp)
+    d, tol = d_sorted.tolist(), tol.tolist()
+    starts = [0]
+    rep, rep_tol = d[0], tol[0]
+    for k, dk in enumerate(d):
+        if dk - rep > rep_tol:
+            starts.append(k)
+            rep, rep_tol = dk, tol[k]
+    rows = order.tolist()
     return EquivalenceClasses(
-        tuple(map(ids.__getitem__, order.tolist())),
-        (*starts.tolist(), m),
+        tuple(map(ids.__getitem__, rows)),
+        tuple(rows),
+        (*starts, m),
         tuple(d_sorted[starts].tolist()),
         tuple(nf.ws_scores[order[starts]].tolist()),
         epsilon,
@@ -277,7 +260,7 @@ def select_mmd(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decisio
 def _ws_class_index(nf: NormalizedFront, classes: EquivalenceClasses) -> int:
     """Index of the class holding the weighted-sum minimizer, located from
     the ws scores independently of the partition's mmd order."""
-    return classes.class_index_of(nf.base.ids[int(np.argmin(nf.ws_scores))])
+    return bisect_right(classes.starts, classes.rows.index(int(np.argmin(nf.ws_scores)))) - 1
 
 
 def select_ws(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision:

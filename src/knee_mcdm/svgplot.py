@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .front import SENSE_MAX, NormalizedFront
+from .front import SENSE_MAX
 from .selection import Decision
 
 _SIZE = 560
@@ -37,8 +37,10 @@ def _text(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
-    """Render the normalized front and the winning Manhattan ball; 2-D only."""
+def render_decision_svg(decision: Decision) -> str:
+    """Render the decision's normalized front and the winning Manhattan ball;
+    2-D only."""
+    nf = decision.nf
     if nf.base.n != 2:
         raise ValueError(f"plot needs exactly 2 objectives, front has {nf.base.n}")
 
@@ -84,8 +86,7 @@ def render_decision_svg(nf: NormalizedFront, decision: Decision) -> str:
             f'<circle cx="{_fmt(px(row[0]))}" cy="{_fmt(py(row[1]))}" r="4" '
             f'fill="{_POINT}" fill-opacity="0.75"><title>{_text(sid)}</title></circle>'
         )
-    for sid in decision.winner_ids:
-        row = y[nf.index_of(sid)]
+    for sid, row in zip(decision.winner.ids, y[list(decision.winner.rows)]):
         out.append(
             f'<circle cx="{_fmt(px(row[0]))}" cy="{_fmt(py(row[1]))}" r="6" '
             f'fill="{_WINNER}" stroke="white" stroke-width="1.5">'

@@ -77,6 +77,18 @@ class DegenerateDimension(KneeMCDMError):
     """Requested a per-dimension quantity on a zero-spread dimension."""
 
 
+class UnknownId(KneeMCDMError):
+    """Requested a solution id the front does not hold."""
+
+
+def _row(nf, solution_id):
+    """Row position of ``solution_id``, found by scanning ``nf.base.ids``."""
+    try:
+        return nf.base.ids.index(solution_id)
+    except ValueError:
+        raise UnknownId(f"unknown solution id {solution_id!r}") from None
+
+
 def improvement_percentage(nf, i, j, dim):
     """Percent improvement in one dimension when moving from solution i to j.
 
@@ -87,7 +99,7 @@ def improvement_percentage(nf, i, j, dim):
     if dim in nf.degenerate_dims:
         raise DegenerateDimension(f"dimension {dim} has zero spread; improvement undefined")
     dev = nf.deviations
-    return 100.0 * (dev[nf.index_of(i), dim] - dev[nf.index_of(j), dim])
+    return 100.0 * (dev[_row(nf, i), dim] - dev[_row(nf, j), dim])
 
 
 def net_improvement(nf, i, j):
@@ -97,7 +109,7 @@ def net_improvement(nf, i, j):
     value is exactly antisymmetric and exactly zero for i == j.
     """
     d = nf.mmd_scores
-    return 100.0 * (d[nf.index_of(i)] - d[nf.index_of(j)])
+    return 100.0 * (d[_row(nf, i)] - d[_row(nf, j)])
 
 
 def reference_load_csv(text: str, overrides=None) -> Front:

@@ -15,11 +15,11 @@ from knee_mcdm import (
     DegenerateSpreadWarning,
     DuplicateId,
     EmptyFront,
+    Front,
     KneeMCDMError,
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
-    UnknownId,
     dominance_filter,
     load_front,
     normalize,
@@ -422,17 +422,39 @@ def test_round_trip_json_full_fidelity():
     assert doc["senses"] == ["min", "max"]
 
 
+#: A decision vector: absent, empty or a few floats.
+_DECISION_VECTOR = st.one_of(
+    st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=3)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4), n=st.integers(2, 3))
+def test_round_trip_json_property(data, m, n):
+    ids = data.draw(st.lists(_ANY_TEXT, min_size=m, max_size=m, unique=True))
+    names = data.draw(st.lists(_ANY_TEXT, min_size=n, max_size=n, unique=True))
+    senses = data.draw(st.lists(st.sampled_from(["min", "max"]), min_size=n, max_size=n))
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    xs = data.draw(
+        st.one_of(
+            st.none(),
+            st.just([None] * m),
+            st.lists(_DECISION_VECTOR, min_size=m, max_size=m),
+        )
+    )
+    front = Front(tuple(names), tuple(senses), tuple(ids), np.array(rows), xs)
+    buf = io.StringIO()
+    write_front(front, buf, format="json")
+    assert load_front(buf.getvalue(), format="json") == front
+    # a tuple of only None entries is stored as None, as the loader reads it back
+    assert front.decision_vectors is None or any(x is not None for x in front.decision_vectors)
+
+
 def test_front_is_immutable():
     front = make_front([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         front.objectives[0, 0] = 5.0
-
-
-def test_unknown_id():
-    front = make_front([[0, 1], [1, 0]])
-    with pytest.raises(UnknownId):
-        front.index_of("nope")
-
 
 # ------------------------------------------------------- dominance filter
 

@@ -11,7 +11,6 @@ from knee_mcdm import (
     DegenerateSpreadWarning,
     EquivalenceViolation,
     InvalidEpsilon,
-    UnknownId,
     build_classes,
     load_front,
     normalize,
@@ -30,6 +29,7 @@ from knee_mcdm.generators import (
 
 from helpers import (
     DegenerateDimension,
+    UnknownId,
     improvement_percentage,
     make_front,
     net_improvement,
@@ -234,8 +234,10 @@ def test_equivalence_classes_constructor_matches_build_classes(eps):
     nf = normalize(make_front(rows))
     built = build_classes(nf, eps)
     members, mmd, ws = zip(*reference_partition(nf, eps))  # independent of built
+    made_ids = tuple(itertools.chain.from_iterable(members))
     made = selection.EquivalenceClasses(
-        ids=tuple(itertools.chain.from_iterable(members)),
+        ids=made_ids,
+        rows=tuple(map(nf.base.ids.index, made_ids)),
         starts=tuple(itertools.accumulate(map(len, members), initial=0)),
         mmd=mmd,
         ws=ws,
@@ -251,11 +253,8 @@ def test_equivalence_classes_constructor_matches_build_classes(eps):
             classes[len(built)]
         with pytest.raises(IndexError):
             classes[-len(built) - 1]
-        with pytest.raises(KeyError):
-            classes.class_index_of("no such id")
-    for sid in nf.base.ids:
-        assert made.class_index_of(sid) == built.class_index_of(sid)
-        assert sid in built[built.class_index_of(sid)].ids
+    assert made.rows == built.rows
+    assert built.ids == tuple(nf.base.ids[r] for r in built.rows)
     assert made.ids == built.ids
     assert sorted(built.ids) == sorted(nf.base.ids)
     assert made.epsilon == built.epsilon == eps
@@ -278,7 +277,7 @@ def test_build_classes_partition_property(m, n, seed, eps):
     for a, b in zip(reps, reps[1:]):
         assert b - a > eps * max(1.0, abs(a))  # separated classes
     for cls in classes:
-        rows = [nf.index_of(sid) for sid in cls.ids]
+        rows = [nf.base.ids.index(sid) for sid in cls.ids]
         spread = nf.mmd_scores[rows].max() - nf.mmd_scores[rows].min()
         assert spread <= eps * max(1.0, abs(cls.mmd)) + 1e-15
 
@@ -309,11 +308,44 @@ def test_knee_is_read_only_in_winner_order():
     nf = normalize(generate(FrontSpec(family="concave2d", samples=30, seed=4)))
     for decision in (select_mmd(nf), select_ws(nf), select_dnc(nf, pairing_seed=3)):
         assert len(decision.winner_ids) == 2
-        expected = [nf.base.objectives[nf.index_of(sid)] for sid in decision.winner_ids]
+        expected = [nf.base.objectives[nf.base.ids.index(sid)] for sid in decision.winner_ids]
         np.testing.assert_array_equal(decision.knee, expected)
         assert not decision.knee.flags.writeable
         with pytest.raises(ValueError):
             decision.knee[0, 0] = 0.0
+
+
+@pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 12),
+    eps=st.sampled_from([0.0, 1e-9, 0.2]),
+    seed=st.integers(0, 7),
+)
+def test_knee_rows_with_ties_duplicates_and_a_max_column(data, m, eps, seed):
+    # small integers give exact score ties and duplicate rows; ids sort
+    # apart from row order, so the id decides the order inside a tie
+    rows = data.draw(
+        st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=m, max_size=m)
+    )
+    ids = data.draw(
+        st.lists(st.text("abc", min_size=1, max_size=3), min_size=m, max_size=m, unique=True)
+    )
+    text = "id,cost,gain,risk\n" + "".join(
+        f"{sid},{a},{b},{c}\n" for sid, (a, b, c) in zip(ids, rows)
+    )
+    try:
+        nf = normalize(load_front(text, senses={"gain": "max"}))
+    except AllDimensionsDegenerate:
+        assume(False)
+    base = nf.base
+    for decision in (select_mmd(nf, eps), select_ws(nf, eps), select_dnc(nf, eps, seed)):
+        expected = [rows[base.ids.index(sid)] for sid in decision.winner_ids]
+        np.testing.assert_array_equal(decision.knee, expected)
+    ws_id = base.ids[int(np.argmin(nf.ws_scores))]
+    (holding,) = [cls for cls in build_classes(nf, eps) if ws_id in cls.ids]
+    assert select_ws(nf, eps).winner == holding
 
 
 @pytest.mark.filterwarnings("ignore::knee_mcdm.DegenerateSpreadWarning")
@@ -426,7 +458,8 @@ def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
     from knee_mcdm import selection
 
     tied = selection.EquivalenceClasses(
-        ids=("x1", "x2"), starts=(0, 1, 2), mmd=(0.5, 0.5), ws=(0.6, 0.6), epsilon=0.0
+        ids=("x1", "x2"), rows=(0, 1), starts=(0, 1, 2), mmd=(0.5, 0.5), ws=(0.6, 0.6),
+        epsilon=0.0,
     )
     monkeypatch.setattr(selection, "build_classes", lambda nf, epsilon: tied)
     with pytest.raises(EquivalenceViolation):

@@ -18,13 +18,13 @@ def convex_case():
 
 
 def test_svg_is_deterministic(convex_case):
-    nf, decision = convex_case
-    assert render_decision_svg(nf, decision) == render_decision_svg(nf, decision)
+    _, decision = convex_case
+    assert render_decision_svg(decision) == render_decision_svg(decision)
 
 
 def test_svg_contains_expected_elements(convex_case):
     nf, decision = convex_case
-    svg = render_decision_svg(nf, decision)
+    svg = render_decision_svg(decision)
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle ") == nf.base.m
     assert "<polygon " in svg  # the Manhattan ball
@@ -36,7 +36,7 @@ def test_svg_contains_expected_elements(convex_case):
 def test_svg_concave_ball_radius_is_one():
     nf = normalize(generate(FrontSpec(family="concave2d", samples=20, seed=1)))
     decision = select_mmd(nf)
-    svg = render_decision_svg(nf, decision)
+    svg = render_decision_svg(decision)
     assert "c_min=1" in svg
     assert svg.count('stroke="white"') == 2  # both endpoints highlighted
 
@@ -44,14 +44,14 @@ def test_svg_concave_ball_radius_is_one():
 def test_svg_rejects_non_2d():
     nf = normalize(generate(FrontSpec(family="sphere3d", samples=10, seed=2)))
     with pytest.raises(ValueError):
-        render_decision_svg(nf, select_mmd(nf))
+        render_decision_svg(select_mmd(nf))
 
 
 def test_svg_escapes_ids_and_names():
     nf = normalize(make_front(
         [[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]], ids=["R&D", "a<b", "c"], names=["cost&risk", "f<2>"]
     ))
-    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    root = ET.fromstring(render_decision_svg(select_mmd(nf)))
     ns = "{http://www.w3.org/2000/svg}"
     titles = sorted(t.text for t in root.iter(f"{ns}title"))
     assert titles == ["R&D", "a<b (winner)", "c"]
@@ -63,7 +63,7 @@ def test_svg_escapes_ids_and_names():
 def test_svg_labels_a_max_axis_as_negated():
     nf = normalize(make_front([[0.0, -1.0], [1.0, -2.0]], names=["cost", "gain"],
                               senses=["min", "max"]))
-    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    root = ET.fromstring(render_decision_svg(select_mmd(nf)))
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts[:2] == ["cost (normalized)", "gain (negated, normalized)"]
 
@@ -72,7 +72,7 @@ def test_svg_replaces_xml_forbidden_characters():
     nf = normalize(make_front(
         [[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]], ids=["x\x01", "y\x0b", "z"], names=["a\x1f", "b"]
     ))
-    root = ET.fromstring(render_decision_svg(nf, select_mmd(nf)))
+    root = ET.fromstring(render_decision_svg(select_mmd(nf)))
     ns = "{http://www.w3.org/2000/svg}"
     titles = sorted(t.text for t in root.iter(f"{ns}title"))
     assert titles == ["x\ufffd", "y\ufffd (winner)", "z"]
