@@ -10,12 +10,15 @@ class ParseError(KneeMCDMError):
 
 
 class NonFiniteValue(KneeMCDMError):
-    """An objective value is NaN or infinite."""
+    """An objective value, or an entry of a decision vector (``column`` None),
+    is NaN or infinite."""
 
-    def __init__(self, solution_id: str, column: str):
-        super().__init__(
-            f"non-finite objective value for id={solution_id!r} in column {column!r}"
-        )
+    def __init__(self, solution_id: str, column: str | None = None):
+        if column is None:
+            message = f"non-finite decision vector entry for id={solution_id!r}"
+        else:
+            message = f"non-finite objective value for id={solution_id!r} in column {column!r}"
+        super().__init__(message)
         self.solution_id = solution_id
         self.column = column
 

@@ -79,8 +79,8 @@ class Front:
         ids: M unique solution ids, in input order.
         objectives: read-only (M, N) float array.
         decision_vectors: optional per-solution decision-variable payloads,
-            aligned with ``ids``; entries may be None, and a tuple of only
-            None entries is stored as None.
+            aligned with ``ids``; entries may be None, their values must be
+            finite, and a tuple of only None entries is stored as None.
     """
 
     objective_names: tuple[str, ...]
@@ -151,6 +151,10 @@ class Front:
                 raise ParseError(f"{len(xs)} decision vectors for {m} rows")
             if xs.count(None) == m:
                 xs = None
+            elif not np.isfinite(np.fromiter(chain.from_iterable(filter(None, xs)), float)).all():
+                raise NonFiniteValue(
+                    next(i for i, x in zip(ids, xs) if x and not np.isfinite(x).all())
+                )
 
         f.flags.writeable = False
         object.__setattr__(self, "objective_names", names)
@@ -492,34 +496,54 @@ def load_front(
 def _load_csv(source: IO | str | bytes, overrides) -> Front:
     """CSV front, converted in one pass as ``csv.reader`` yields its rows.
 
-    ``_csv_columns`` reads one encoded copy of the input and raises the
-    error of the first bad header or row.
+    ``_csv_columns`` reads the decoded text, a slice at a time, and raises
+    the error of the first bad header or row.
     """
-    # surrogatepass keeps a lone surrogate of a str input, for _assemble to report
-    data = _as_text(source).encode("utf-8", "surrogatepass")
-    names, ids, values = _csv_columns(data)
-    del data  # Front's checks run without the input text
+    names, ids, values = _csv_columns(_as_text(source))
     return _assemble(names, None, overrides, ids, values, None)
 
 
-def _csv_columns(data: bytes):
-    """Objective names, ids and the (M, N) objective matrix of the CSV text
-    that ``data`` encodes.
+#: Characters of the text that one read of ``_EncodedText`` encodes, whatever
+#: size the reader asks for.
+_READ_CHARS = 8192
+
+
+class _EncodedText(io.BufferedIOBase):
+    """The UTF-8 bytes of a str, encoded one slice per read, so no bytes
+    copy of the whole text is made.  ``surrogatepass`` keeps a lone
+    surrogate, for ``_assemble`` to report."""
+
+    def __init__(self, text: str):
+        self._text = text
+        self._at = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size: int = -1) -> bytes:
+        start = self._at
+        self._at += _READ_CHARS
+        return self._text[start : self._at].encode("utf-8", "surrogatepass")
+
+
+def _csv_columns(text: str):
+    """Objective names, ids and the (M, N) objective matrix of the CSV
+    ``text``.
 
     The rows are converted as ``csv.reader`` yields them: one pass checks
     each row's cell count, collects its id and feeds its objective cells
     into a single ``np.fromiter(map(float, ...))``.  So the pass keeps the
-    floats, the ids and the encoded input, never a list of cell strings.
-    A bad header or row stops the conversion, but its error is raised only
-    after the reader has read the rest of the input: a CSV syntax error
-    anywhere comes first.
+    floats, the ids and the text, never a list of cell strings.  A bad
+    header or row stops the conversion, but its error is raised only after
+    the reader has read the rest of the input: a CSV syntax error anywhere
+    comes first.
 
-    The lines come from a text wrapper over the encoded bytes, which reads
+    The lines come from a text wrapper over ``_EncodedText``, which reads
     universal newlines as ``io.StringIO(text, newline=None)`` does, without
-    its buffer of four bytes per character.
+    its buffer of four bytes per character or an encoded copy of the text.
     """
     lines = io.TextIOWrapper(
-        io.BytesIO(data), encoding="utf-8", errors="surrogatepass", newline=None
+        _EncodedText(text), encoding="utf-8", errors="surrogatepass", newline=None
     )
     rows = filter(None, csv.reader(line for line in lines if not line.lstrip().startswith("#")))
     ids: list[str] = []
@@ -595,6 +619,7 @@ def _load_json(source: IO | str | bytes, overrides) -> Front:
     senses = doc.get("senses")
     if senses is not None and not isinstance(senses, list):
         raise ParseError(f'"senses" must be a list, got {senses!r}')
+    del doc, solutions  # Front's checks run without the decoded document
     return _assemble(names, senses, overrides, ids, values, decision)
 
 

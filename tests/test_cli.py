@@ -428,6 +428,7 @@ BAD_INPUTS = {
             ("x-bool", ["f1", "f2"], "a", [0, 1], {"x": [True]}),
             ("f-string", ["f1", "f2"], "a", ["1_0", " 2 "], {}),
             ("x-string", ["f1", "f2"], "a", [0, 1], {"x": ["7"]}),
+            ("x-nan", ["f1", "f2"], "a", [0, 1], {"x": [float("nan")]}),
             ("objective-name-null", [None, "f2"], "a", [0, 1], {}),
             ("id-lone-surrogate", ["f1", "f2"], "\ud800", [0, 1], {}),
             ("objective-name-lone-surrogate", ["a\udc00", "f2"], "a", [0, 1], {}),

@@ -333,6 +333,29 @@ def test_load_csv_matches_reference_on_raw_text(text):
         assert _load_outcome(load_front, text.encode("utf-8"), format="csv") == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    text=_raw_csv_texts(),
+    data=st.data(),
+    size=st.integers(1, 9),
+)
+def test_load_csv_matches_reference_across_read_chunks(text, data, size):
+    # a few characters of one to four UTF-8 bytes, lone surrogates and line
+    # ends, so reads of 1-9 characters end inside "\r\n" and next to them
+    extras = data.draw(
+        st.lists(st.sampled_from(["\u20ac", "\U0001f600", "\xe9", "\ud83d", "\x00", "\r\n", "\r"]),
+                 max_size=4)
+    )
+    for char in extras:
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + char + text[at:]
+    want = _load_outcome(reference_load_csv, text)
+    with mock.patch.object(front_module, "_READ_CHARS", size):
+        assert _load_outcome(load_front, text, format="csv") == want
+        if not front_module._LONE_SURROGATE.search(text):
+            assert _load_outcome(load_front, text.encode("utf-8"), format="csv") == want
+
+
 def test_empty_id_rejected():
     with pytest.raises(ParseError, match="empty solution id"):
         load_front("id,f1,f2\n,0,1\nb,1,0\n")
@@ -449,6 +472,42 @@ def test_round_trip_json_property(data, m, n):
     assert load_front(buf.getvalue(), format="json") == front
     # a tuple of only None entries is stored as None, as the loader reads it back
     assert front.decision_vectors is None or any(x is not None for x in front.decision_vectors)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_non_finite_decision_vector_raises_or_round_trips(data, m):
+    # Front and the JSON loader both refuse a NaN or an infinity in a decision
+    # vector, naming the solution; any front they accept is written as
+    # RFC 8259 JSON and loads back equal
+    xs = data.draw(st.lists(st.one_of(st.none(), st.lists(st.floats(), max_size=3)),
+                            min_size=m, max_size=m))
+    ids = tuple(f"p{k}" for k in range(m))
+    rows = np.arange(2.0 * m).reshape(m, 2)
+    bad = [sid for sid, x in zip(ids, xs) if x and not np.isfinite(x).all()]
+    text = json.dumps({
+        "objectives": ["f1", "f2"],
+        "solutions": [{"id": sid, "f": f, "x": x} for sid, f, x in zip(ids, rows.tolist(), xs)],
+    })
+    for build in (
+        lambda: Front(("f1", "f2"), ("min", "min"), ids, rows, xs),
+        lambda: load_front(text, format="json"),
+    ):
+        try:
+            front = build()
+        except NonFiniteValue as exc:
+            assert bad and exc.solution_id == bad[0] and exc.column is None
+            assert f"id={bad[0]!r}" in str(exc)
+            continue
+        assert not bad
+        buf = io.StringIO()
+        write_front(front, buf, format="json")
+        json.loads(buf.getvalue(), parse_constant=_reject_constant)
+        assert load_front(buf.getvalue(), format="json") == front
 
 
 def test_front_is_immutable():
