@@ -17,10 +17,16 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from . import __version__
 from .bench import run_bench
-from .errors import AllDimensionsDegenerate, EquivalenceViolation, KneeMCDMError
+from .errors import (
+    AllDimensionsDegenerate,
+    DegenerateSpreadWarning,
+    EquivalenceViolation,
+    KneeMCDMError,
+)
 from .front import Front, dominance_filter, load_front, normalize, write_front
 from .generators import FAMILIES, FrontSpec, agreement_corpus, generate
 from .selection import (
@@ -147,7 +153,13 @@ def _prepare(args) -> tuple:
     removed: list[str] = []
     if not args.no_filter:
         front, removed = dominance_filter(front)
-    return normalize(front), removed
+    # a zero-spread column is a note on stderr, never a traceback under -W error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateSpreadWarning)
+        nf = normalize(front)
+    for warning in caught:
+        sys.stderr.write(f"warning: {warning.message}\n")
+    return nf, removed
 
 
 def _epsilon(args) -> float:

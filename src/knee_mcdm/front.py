@@ -130,7 +130,7 @@ class Front:
         if len(ids) != m:
             raise ParseError(f"{len(ids)} ids for {m} rows")
 
-        unique = set(ids)
+        unique = dict.fromkeys(ids)  # half the memory of set(ids)
         if len(unique) != m or "" in unique:
             # walk the ids only to name the first culprit
             seen: set[str] = set()
@@ -309,7 +309,8 @@ def normalize(front: Front) -> NormalizedFront:
 
 #: Rows per block in ``dominance_filter``.  The Python loop runs once per
 #: block, and one block's test allocates O(block * (K + block)) booleans for K
-#: rows kept so far.
+#: rows kept so far, plus numpy's buffers for the broadcast compare: up to
+#: 8192 elements of each input, which the small integer ranks keep small.
 _FILTER_BLOCK = 64
 
 #: Rows in ``dominance_filter``'s elimination window.  Each one costs a
@@ -334,24 +335,36 @@ def _filter_window(lines: np.ndarray) -> np.ndarray:
 
 def _window_survivors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``f`` that no window row dominates, lexsorted with column 0
-    as the primary key: their input positions and one contiguous line per
-    column."""
-    lines = np.ascontiguousarray(f.T)
-    left = np.arange(len(f))  # input position of each row still in ``lines``
-    for w in f[_filter_window(lines)]:
+    as the primary key: their input positions and one line of dense ranks
+    per column.
+
+    A column's dense rank of a value is its position among the column's
+    distinct values, so equal values (-0.0 and 0.0 among them) share a
+    rank, and ``<=`` and ``==`` on ranks agree with ``<=`` and ``==`` on
+    the values.  They take the smallest unsigned type that holds the row
+    count.  The window tests run on column views of the row-major rows, with
+    no transposed copy: a strided compare with a scalar allocates no buffer,
+    where a ``compress`` of the views would.
+    """
+    rows = f
+    left = np.arange(len(f))  # input position of each row still in ``rows``
+    for w in f[_filter_window(f.T)]:
         # rows w dominates: >= w in every column and > w in at least one
-        ge = lines[0] >= w[0]
-        gt = lines[0] > w[0]
-        for line, value in zip(lines[1:], w[1:]):
-            ge &= line >= value
-            gt |= line > value
+        ge = rows[:, 0] >= w[0]
+        gt = rows[:, 0] > w[0]
+        for col, value in zip(rows.T[1:], w[1:]):
+            ge &= col >= value
+            gt |= col > value
         ge &= gt
         if ge.any():
             keep = ~ge
-            lines = lines.compress(keep, axis=1)  # stays one contiguous line per column
+            rows = rows[keep]
             left = left[keep]
-    order = np.lexsort(lines[::-1])
-    return left[order], lines.take(order, axis=1)
+    ranks = np.empty(rows.T.shape, dtype=np.min_scalar_type(len(rows)))
+    for line, col in zip(ranks, rows.T):
+        line[:] = np.unique(col, return_inverse=True)[1]
+    order = np.lexsort(ranks[::-1])
+    return left[order], ranks.take(order, axis=1)
 
 
 def dominance_filter(front: Front) -> tuple[Front, list[str]]:
@@ -373,14 +386,17 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     survives with it, since the same window rows dominate both.
 
     Sort-then-archive (Kung, Luccio & Preparata, JACM 1975) over the
-    survivors: the rows are lexsorted with column 0 as the primary key, so
-    every dominator sorts strictly before the rows it dominates and exact
-    duplicates form one run of adjacent sorted rows.  The sorted rows are
-    walked in blocks of ``_FILTER_BLOCK``.  Each block is tested in one
-    vectorised step against the candidates: the archive of kept rows found
-    so far plus the block itself.  Testing against kept rows alone
-    suffices: dominance is transitive, so every dominated row is also
-    dominated by a kept row sorted before it.
+    survivors, on their dense integer ranks: ranks order and tie the rows as
+    their values do, and a small unsigned rank costs a quarter or less of a
+    float in every compare of the walk and its buffers.  The rows are
+    lexsorted with column 0 as the primary key, so every dominator sorts
+    strictly before the rows it dominates and exact duplicates form one run
+    of adjacent sorted rows.  The sorted rows are walked in blocks of
+    ``_FILTER_BLOCK``.  Each block is tested in one vectorised step against
+    the candidates: the archive of kept rows found so far plus the block
+    itself.  Testing against kept rows alone suffices: dominance is
+    transitive, so every dominated row is also dominated by a kept row
+    sorted before it.
 
     A candidate dominates a block row exactly when it is <= in every column
     and sorts before the row's duplicate run: a row that is <= everywhere

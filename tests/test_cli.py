@@ -523,6 +523,26 @@ def test_errors_exit_2_under_warnings_as_errors(tmp_path):
     _assert_each_exits_2_in_one_child(["-W", "error"], ["select"], cases, tmp_path)
 
 
+def test_zero_spread_column_is_a_warning_line_under_warnings_as_errors(tmp_path):
+    # the constant column c is excluded from scoring; that is a note, not a failure
+    path = tmp_path / "constant-column.csv"
+    path.write_text("id,a,b,c\np,0,1,5\nq,1,0,5\nr,0.4,0.4,5\n")
+    src = str(Path(knee_mcdm.__file__).resolve().parents[1])
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "knee_mcdm", "select", "--input", str(path)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        for flags in ([], ["-W", "error"])
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: zero-spread objective(s) excluded from scoring: c\n"
+        assert "cli.py" not in proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert "winner ids: r\n" in runs[0].stdout
+
+
 def test_cli_import_skips_unused_stdlib_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client, email, ssl and socket
     src = str(Path(knee_mcdm.__file__).resolve().parents[1])

@@ -693,6 +693,33 @@ def test_dominance_filter_output_does_not_depend_on_the_window(m, n, levels, siz
     assert removed == [f"p{k}" for k in sorted(set(range(m)) - set(oracle))]
 
 
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**31))
+@pytest.mark.parametrize("copies", [0, 3])
+@pytest.mark.parametrize("kept", [255, 256, 257])
+def test_dominance_filter_ranks_cross_the_uint8_width(kept, copies, seed):
+    # ``kept`` nondominated rows, ``copies`` of them exact duplicates and the
+    # rest distinct in column 0, so without copies the walk's ranks run up to
+    # kept - 1, on both sides of 255; integer ties, and -0.0 beside 0.0 in
+    # column 2
+    rng = np.random.default_rng(seed)
+    k = np.arange(kept - copies)
+    line = np.column_stack([k, k[::-1], rng.integers(0, 3, (len(k), 2))]).astype(float)
+    line = np.vstack([line, line[rng.integers(0, len(k), copies)]])
+    # a line row plus a step of 0 or 1 per column, 1 in at least one, is dominated
+    step = rng.integers(0, 2, (64, 4))
+    step[np.arange(64), rng.integers(0, 4, 64)] = 1
+    rows = np.vstack([line, line[rng.integers(0, kept, 64)] + step])
+    zeros = np.flatnonzero(rows[:, 2] == 0)
+    rows[rng.choice(zeros, len(zeros) // 2, replace=False), 2] = -0.0
+    rows = rows[rng.permutation(len(rows))]
+    kept_front, removed = dominance_filter(make_front(rows))
+    oracle = brute_force_nondominated(rows.tolist())
+    assert len(oracle) == kept
+    assert [int(s[1:]) for s in kept_front.ids] == oracle
+    assert removed == [f"p{r}" for r in sorted(set(range(len(rows))) - set(oracle))]
+
+
 @pytest.mark.parametrize("shape", ["cube", "sphere-octant"])
 def test_dominance_filter_peak_memory(shape):
     rng = np.random.default_rng(5)
@@ -719,6 +746,20 @@ def _peak_bytes(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape, m, bound", [("cube", 2000, 1.5), ("sphere-octant", 5000, 6.0)])
+def test_dominance_filter_peak_memory_near_the_front_size(shape, m, bound):
+    # the window tests read column views of the rows, and the walk compares
+    # small integer ranks, so the filter's scratch stays near the front's size
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(0, 1, (m, 5))
+    if shape == "sphere-octant":
+        rows = np.abs(rng.normal(size=(m, 5)))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    front = make_front(rows)
+    ratio = _peak_bytes(dominance_filter, front) / front.objectives.nbytes
+    assert ratio < bound, ratio
 
 
 def test_load_json_peak_memory_stays_near_json_loads():
