@@ -175,16 +175,28 @@ def _epsilon(args) -> float:
         raise KneeMCDMError(f"{EPSILON_ENV}={raw!r} is not a number") from None
 
 
-def _emit(args, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``--output``, else to stdout whatever the locale."""
+#: Characters of a text that ``_emit`` writes, and so encodes, at a time.
+_WRITE_CHARS = 1 << 16
+
+
+def _emit(args, *texts: str) -> None:
+    """Write ``texts`` in turn as UTF-8 to ``--output``, else to stdout
+    whatever the locale, a slice at a time, so no encoded copy of a whole
+    text is made."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_slices(handle.write, texts)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        _write_slices(lambda text: sys.stdout.buffer.write(text.encode("utf-8")), texts)
     else:
-        sys.stdout.write(text)
+        _write_slices(sys.stdout.write, texts)
+
+
+def _write_slices(write, texts) -> None:
+    for text in texts:
+        for start in range(0, len(text), _WRITE_CHARS):
+            write(text[start : start + _WRITE_CHARS])
 
 
 def _decision_text(decision: Decision, removed: list[str]) -> str:
@@ -235,7 +247,7 @@ def cmd_select(args) -> int:
     else:
         decision = select_dnc(nf, eps, pairing_seed=args.seed)
     if args.output_format == "json":
-        _emit(args, decision.to_json() + "\n")
+        _emit(args, decision.to_json(), "\n")
     elif args.output_format == "csv":
         _emit(args, _decision_csv(decision))
     else:

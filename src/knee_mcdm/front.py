@@ -9,9 +9,9 @@ confined to [0, 1].
 
 ``load_front`` reads a CSV front in one pass, converting the rows as the
 reader yields them and raising the error of the first bad header or row from
-that pass.  A JSON front is converted in one pass over its solution records,
-each checked as it is converted, so the first bad record raises its own
-error.
+that pass.  A JSON front's solution records are packed as they are decoded
+and converted in one pass, each checked as it is converted, so the first bad
+record raises its own error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import io
 import json
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -226,17 +227,22 @@ class NormalizedFront:
         stored column minimum before dividing keeps the entries accurate when
         the raw values are offset far from zero.
         """
-        scale = np.where(self.L > 0.0, self.L, 1.0)
-        dev = (self.base.objectives - self.ell) / scale
+        dev = self._deviations()
+        dev.flags.writeable = False
+        return dev
+
+    def _deviations(self) -> np.ndarray:
+        dev = self.base.objectives - self.ell
+        dev /= np.where(self.L > 0.0, self.L, 1.0)
         if self.degenerate_dims:
             dev[:, sorted(self.degenerate_dims)] = 0.0
-        dev.flags.writeable = False
         return dev
 
     @cached_property
     def mmd_scores(self) -> np.ndarray:
-        """Manhattan distance of each normalized row from the ideal vector."""
-        d = self.deviations.sum(axis=1)
+        """Manhattan distance of each normalized row from the ideal vector,
+        summed from a deviation matrix that is not kept."""
+        d = self._deviations().sum(axis=1)
         d.flags.writeable = False
         return d
 
@@ -609,14 +615,58 @@ _ID_TYPES = frozenset((str, int))
 _X_TYPES = frozenset((list, type(None)))
 
 
+#: Keys a JSON object may have for ``_pack_record`` to pack it.
+_RECORD_KEYS = frozenset(("id", "f", "x"))
+
+
+def _pack_record(obj: dict):
+    """``json.loads`` object hook: an object with no key but "id", "f" and "x"
+    that passes every record check needing no context comes back as
+    ``(str id, array("d") of f, None or a tuple of x's floats)``, any other
+    object as it is.  Never raises."""
+    if obj.keys() <= _RECORD_KEYS:
+        sid, f, x = obj.get("id"), obj.get("f"), obj.get("x")
+        if (
+            type(sid) in _ID_TYPES
+            and type(f) is list
+            and type(x) in _X_TYPES
+            and _NUMBER_TYPES.issuperset(map(type, chain(f, x or ())))
+        ):
+            try:
+                return str(sid), array("d", f), None if x is None else tuple(map(float, x))
+            except OverflowError:  # an integer beyond the float range
+                pass
+    return obj
+
+
 def _load_json(source: IO | str | bytes, overrides) -> Front:
+    """JSON front, its records packed as they are decoded.
+
+    A packed record can sit where the checks expect other values, so the
+    text is kept until they pass.  If one raises, the text is decoded again
+    without the hook and loaded from that plain document, whose checks then
+    raise their own first error, as if no record had been packed.
+    """
     text = _as_text(source)
     try:
-        doc = json.loads(text)
+        parts = _json_parts(text, _pack_record)
+    except KneeMCDMError:
+        parts = None  # decoded again below, once this error and its frames are gone
+    if parts is None:
+        parts = _json_parts(text, None)
+    del text  # Front's checks run without the input text or the decoded document
+    names, senses, ids, values, decision = parts
+    return _assemble(names, senses, overrides, ids, values, decision)
+
+
+def _json_parts(text: str, hook):
+    """Objective names, file senses, ids, objective matrix and decision
+    vectors of the JSON ``text``, decoded with ``object_hook=hook``."""
+    try:
+        doc = json.loads(text, object_hook=hook)
     # ValueError covers JSONDecodeError and integer literals over the digit limit
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    del text  # the record pass runs without the input text
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -633,10 +683,10 @@ def _load_json(source: IO | str | bytes, overrides) -> Front:
 
     ids, values, decision = _json_records(solutions, len(names))
     senses = doc.get("senses")
-    if senses is not None and not isinstance(senses, list):
+    # a packed record among the senses would reach str() as a tuple: load plainly
+    if senses is not None and (not isinstance(senses, list) or tuple in map(type, senses)):
         raise ParseError(f'"senses" must be a list, got {senses!r}')
-    del doc, solutions  # Front's checks run without the decoded document
-    return _assemble(names, senses, overrides, ids, values, decision)
+    return names, senses, ids, values, decision
 
 
 def _json_records(solutions: list, n: int):
@@ -646,13 +696,22 @@ def _json_records(solutions: list, n: int):
     The records are converted as they are checked: one pass checks each
     record, collects its id and decision vector and feeds its objective
     values into a single ``np.fromiter(map(float, ...))``, so the first bad
-    record stops the pass with its own error.
+    record stops the pass with its own error.  A record ``_pack_record``
+    packed has passed every check but the length of its ``f``.
     """
     ids: list[str] = []
     xs: list[tuple[float, ...] | None] = []
 
     def objective_values():
         for rec in solutions:
+            if type(rec) is tuple:  # packed: only the length of f is left to check
+                sid, f, x = rec
+                ids.append(sid)
+                if len(f) != n:
+                    raise ParseError(f"solution {sid!r}: expected {n} objective values")
+                xs.append(x)
+                yield f
+                continue
             try:
                 sid = rec["id"]
                 f = rec["f"]

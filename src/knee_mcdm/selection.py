@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -126,18 +127,27 @@ class Decision:
     """Outcome of one selection run: a view over the winner class and
     ``nf``, the normalized front it was selected from.
 
-    ``winner`` is always a whole equivalence class; ``trace`` is only
-    populated by the tournament selector.  Derived on first access: ``knee``,
-    the objective rows of the winner's members in ``winner.ids`` order, as
-    they were input ("max" columns not negated; read-only); ``c_min_mmd`` and
-    ``c_min_ws``, the smallest Manhattan distance and weighted sum over the
-    front (scores, so in minimization form).
+    ``winner`` is always a whole equivalence class.  ``comparisons`` holds
+    the tournament selector's comparisons as the columns left, right, ip
+    and winner; it is None for the other selectors.  Derived on first
+    access: ``trace``, the comparisons as ``ComparisonRecord`` tuples, or
+    None; ``knee``, the objective rows of the winner's members in
+    ``winner.ids`` order, as they were input ("max" columns not negated;
+    read-only); ``c_min_mmd`` and ``c_min_ws``, the smallest Manhattan
+    distance and weighted sum over the front (scores, so in minimization
+    form).
     """
 
     method: str
     winner: EquivalenceClass
     nf: NormalizedFront = field(repr=False)
-    trace: tuple[ComparisonRecord, ...] | None = None
+    comparisons: tuple[array, array, array, array] | None = field(default=None, repr=False)
+
+    @cached_property
+    def trace(self) -> tuple[ComparisonRecord, ...] | None:
+        if self.comparisons is None:
+            return None
+        return tuple(map(ComparisonRecord, *self.comparisons))
 
     @cached_property
     def knee(self) -> np.ndarray:
@@ -172,13 +182,15 @@ class Decision:
         ``{"left", "right", "ip", "winner"}`` object per comparison).
         ``json.dumps`` writes the head; the two long lists are joined from
         ``%``-templates in C, one call per record instead of one dict per
-        record.  ``%r`` writes a float exactly as ``json.dumps`` does only
-        when it is finite, and every value here is: ``Front`` rejects
-        non-finite objectives and ``normalize`` a non-finite spread, so each
-        mmd lies in [0, N]; a nonzero spread is at least one unit in the
-        last place of its column's largest magnitude, so ``|f/L| <= 2**53``
-        and each ws is a sum of N bounded terms; and each trace ip is 100
-        times the difference of two representatives' mmd.
+        record, ``_JSON_CHUNK`` rows at a time from the score vectors and
+        the comparison columns, so no list of a whole column is built.
+        ``%r`` writes a float exactly as ``json.dumps`` does only when it is
+        finite, and every value here is: ``Front`` rejects non-finite
+        objectives and ``normalize`` a non-finite spread, so each mmd lies
+        in [0, N]; a nonzero spread is at least one unit in the last place
+        of its column's largest magnitude, so ``|f/L| <= 2**53`` and each ws
+        is a sum of N bounded terms; and each trace ip is 100 times the
+        difference of two representatives' mmd.
         """
         nf = self.nf
         head = json.dumps(
@@ -190,14 +202,17 @@ class Decision:
                 "c_min_ws": self.c_min_ws,
             }
         )
-        scores = zip(
-            map(encode_basestring_ascii, nf.base.ids),
-            nf.mmd_scores.tolist(),
-            nf.ws_scores.tolist(),
+        ids, mmd, ws = nf.base.ids, nf.mmd_scores, nf.ws_scores
+        parts = [head[:-1], ', "scores": [']
+        parts += _json_rows(
+            _SCORE_JSON,
+            len(ids),
+            lambda s: zip(map(encode_basestring_ascii, ids[s]), mmd[s].tolist(), ws[s].tolist()),
         )
-        parts = [head[:-1], ', "scores": [', ", ".join(map(_SCORE_JSON.__mod__, scores))]
-        if self.trace is not None:
-            parts += ['], "trace": [', ", ".join(map(_RECORD_JSON.__mod__, self.trace))]
+        if self.comparisons is not None:
+            parts.append('], "trace": [')
+            columns = self.comparisons
+            parts += _json_rows(_RECORD_JSON, len(columns[0]), lambda s: zip(*(c[s] for c in columns)))
         parts.append("]}")
         return "".join(parts)
 
@@ -206,6 +221,19 @@ class Decision:
 #: (the id is already encoded).
 _SCORE_JSON = '{"id": %s, "mmd": %r, "ws": %r}'
 _RECORD_JSON = '{"left": %d, "right": %d, "ip": %r, "winner": %d}'
+
+#: Rows ``Decision.to_json`` formats per string.
+_JSON_CHUNK = 1024
+
+
+def _json_rows(template: str, m: int, rows) -> Iterator[str]:
+    """``template % row`` for m rows, ``", "``-joined, as strings of up to
+    ``_JSON_CHUNK`` rows and their separators; ``rows(s)`` gives the rows
+    of the slice ``s``."""
+    for start in range(0, m, _JSON_CHUNK):
+        if start:
+            yield ", "
+        yield ", ".join(map(template.__mod__, rows(slice(start, start + _JSON_CHUNK))))
 
 
 def build_classes(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> EquivalenceClasses:
@@ -271,14 +299,15 @@ def select_ws(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> Decision
 
 def _tournament(
     classes: EquivalenceClasses, pairing_seed: int
-) -> tuple[int, tuple[ComparisonRecord, ...]]:
+) -> tuple[int, tuple[array, array, array, array]]:
     """Knockout over the classes in an order shuffled by ``pairing_seed``;
-    returns the surviving class index and every comparison made."""
+    returns the surviving class index and every comparison made, as the
+    columns left, right, ip and winner."""
     alive = list(range(len(classes)))
     random.Random(pairing_seed).shuffle(alive)
 
     mmd = classes.mmd
-    trace: list[ComparisonRecord] = []
+    left, right, ips, winners = array("q"), array("q"), array("d"), array("q")
     while len(alive) > 1:
         survivors = []
         for a, b in zip(alive[::2], alive[1::2]):
@@ -286,12 +315,15 @@ def _tournament(
             if ip == 0.0:  # distinct classes are separated by construction
                 raise EquivalenceViolation(f"tie between distinct classes {a} and {b}")
             winner = b if ip > 0.0 else a
-            trace.append(ComparisonRecord(a, b, ip, winner))
+            left.append(a)
+            right.append(b)
+            ips.append(ip)
+            winners.append(winner)
             survivors.append(winner)
         if len(alive) % 2:
             survivors.append(alive[-1])
         alive = survivors
-    return alive[0], tuple(trace)
+    return alive[0], (left, right, ips, winners)
 
 
 def select_dnc(
@@ -307,8 +339,8 @@ def select_dnc(
     same for every seed; the full comparison list is recorded in the trace.
     """
     classes = build_classes(nf, epsilon)
-    k, trace = _tournament(classes, pairing_seed)
-    return Decision("dnc", classes[k], nf, trace)
+    k, comparisons = _tournament(classes, pairing_seed)
+    return Decision("dnc", classes[k], nf, comparisons)
 
 
 def rank(nf: NormalizedFront, epsilon: float = DEFAULT_EPSILON) -> list[EquivalenceClass]:

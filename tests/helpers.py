@@ -3,10 +3,18 @@
 import csv
 import io
 import json
+import random
 
 import numpy as np
 
-from knee_mcdm import EmptyFront, Front, KneeMCDMError, ParseError
+from knee_mcdm import (
+    ComparisonRecord,
+    EmptyFront,
+    EquivalenceViolation,
+    Front,
+    KneeMCDMError,
+    ParseError,
+)
 from knee_mcdm.front import _assemble
 
 
@@ -71,6 +79,32 @@ def reference_partition(nf, epsilon):
         (tuple(ids[k] for k in members), float(d[members[0]]), float(ws[members[0]]))
         for members in classes
     ]
+
+
+def reference_tournament(classes, pairing_seed):
+    """Knockout over ``classes`` by a loop that builds one ``ComparisonRecord``
+    per comparison: the surviving class index and the tuple of records.
+
+    Reference for ``select_dnc``'s winner and trace: the classes are
+    shuffled by ``pairing_seed`` and paired in order, an unpaired class gets
+    a bye, and a tie raises ``EquivalenceViolation``.
+    """
+    alive = list(range(len(classes)))
+    random.Random(pairing_seed).shuffle(alive)
+    trace = []
+    while len(alive) > 1:
+        survivors = []
+        for a, b in zip(alive[::2], alive[1::2]):
+            ip = 100.0 * (classes.mmd[a] - classes.mmd[b])
+            if ip == 0.0:
+                raise EquivalenceViolation(f"tie between distinct classes {a} and {b}")
+            winner = b if ip > 0.0 else a
+            trace.append(ComparisonRecord(a, b, ip, winner))
+            survivors.append(winner)
+        if len(alive) % 2:
+            survivors.append(alive[-1])
+        alive = survivors
+    return alive[0], tuple(trace)
 
 
 class DegenerateDimension(KneeMCDMError):

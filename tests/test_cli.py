@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,45 @@ def test_select_writes_output_file(table1_csv, capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["winner_ids"] == ["x6"]
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv", "text"])
+def test_output_file_matches_stdout_across_write_slices(
+    output_format, table1_csv, capsys, tmp_path, monkeypatch
+):
+    args = ["select", "--method", "dnc", "--input", table1_csv, "--output-format", output_format]
+    _, want, _ = run_cli(args, capsys)
+    monkeypatch.setattr(cli, "_WRITE_CHARS", 7)
+    assert run_cli(args, capsys)[1] == want
+    out_path = tmp_path / "out"
+    assert run_cli([*args, "--output", str(out_path)], capsys)[0] == 0
+    assert out_path.read_bytes() == want.encode("utf-8")
+
+
+def test_select_dnc_json_peak_memory_stays_near_input_size(tmp_path):
+    # records are packed as they are decoded, the tournament is kept as
+    # columns, and the output is formatted and written a slice at a time
+    rng = np.random.default_rng(3)
+    f = np.abs(rng.standard_normal((5000, 5)))
+    f /= np.linalg.norm(f, axis=1, keepdims=True)
+    records = zip(f.tolist(), rng.uniform(0, 1, (5000, 4)).tolist())
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps({
+        "objectives": [f"f{k}" for k in range(5)],
+        "senses": ["min"] * 5,
+        "solutions": [{"id": f"s{k}", "f": row, "x": x} for k, (row, x) in enumerate(records)],
+    }))
+    argv = ["select", "--method", "dnc", "--no-filter", "--format", "json", "--output-format",
+            "json", "--input", str(path), "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0  # first-call allocations are not the op's
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / path.stat().st_size
+    assert ratio < 3.6, ratio
 
 
 def test_rank_text_output(table1_csv, capsys):

@@ -271,6 +271,80 @@ def test_load_front_error_matches_reference_loops(front, data):
     assert got == _load_outcome(_REFERENCE_LOADERS[fmt], text, senses)
 
 
+#: An object ``_load_json``'s hook packs: no key but "id", "f" and "x", and
+#: every record check that needs no context passes.
+_RECORD = {"id": "r", "f": [1, 2.5]}
+_GOOD = [{"id": "a", "f": [0, 1.5], "x": [0.5, 2]}, {"id": "b", "f": [1.5, 0]}]
+
+
+def _front_json(**fields):
+    return json.dumps({"objectives": ["f1", "f2"], "solutions": _GOOD, **fields})
+
+
+def _solutions(*records):
+    return _front_json(solutions=[*_GOOD, *records])
+
+
+#: JSON fronts, good and bad, where a packed record can stand in for a value
+#: the checks expect, and records the hook packs or leaves alone.
+_HOOK_CASES = {
+    "record-top-level": json.dumps(_RECORD),
+    "record-top-level-list": json.dumps([_RECORD]),
+    "record-as-objectives": _front_json(objectives=_RECORD),
+    "record-in-objectives": _front_json(objectives=["f1", _RECORD]),
+    "record-as-senses": _front_json(senses=_RECORD),
+    "record-in-senses": _front_json(senses=["min", _RECORD]),
+    "record-in-senses-after-bad-sense": _front_json(senses=["up", _RECORD]),
+    "record-as-solutions": _front_json(solutions=_RECORD),
+    "record-as-id": _solutions({"id": _RECORD, "f": [1, 1]}),
+    "record-in-f": _solutions({"id": "c", "f": [1, _RECORD]}),
+    "record-as-f": _solutions({"id": "c", "f": _RECORD}),
+    "record-in-x": _solutions({"id": "c", "f": [1, 1], "x": [2, _RECORD]}),
+    "record-as-x": _solutions({"id": "c", "f": [1, 1], "x": _RECORD}),
+    "record-in-other-field": _front_json(notes={"best": _RECORD}),
+    "record-in-extra-key": _solutions({"id": "c", "f": [2, 2], "meta": _RECORD}),
+    "extra-key": _solutions({"id": "c", "f": [2, 2], "rank": 1}),
+    "keys-reordered": _front_json(
+        solutions=[{"x": [1], "f": [0, 1], "id": "a"}, {"f": [1, 0], "id": "b"}]
+    ),
+    "x-absent-null-empty": _solutions({"id": "c", "f": [1, 1], "x": None}, {"id": "d", "f": [2, 2], "x": []}),
+    "x-all-absent-or-null": _front_json(
+        solutions=[{"id": "a", "f": [0, 1]}, {"id": "b", "f": [1, 0], "x": None}]
+    ),
+    "int-ids": _front_json(solutions=[{"id": 7, "f": [0, 1]}, {"id": -3, "f": [1, 0], "x": [2]}]),
+    "int-id-duplicates-str-id": _solutions({"id": 7, "f": [1, 1]}, {"id": "7", "f": [2, 2]}),
+    "bool-id": _solutions({"id": True, "f": [1, 1]}),
+    "float-id": _solutions({"id": 1.5, "f": [1, 1]}),
+    "no-id": _solutions({"f": [1, 1]}),
+    "empty-record": _solutions({}),
+    "huge-int-in-f": _solutions({"id": "c", "f": [10**400, 0]}),
+    "huge-int-in-x": _solutions({"id": "c", "f": [1, 1], "x": [10**400]}),
+    "huge-int-in-x-before-bool-in-f": _solutions(
+        {"id": "c", "f": [1, 1], "x": [-(10**400)]}, {"id": "d", "f": [True, 0]}
+    ),
+    "bool-in-f-before-short-f": _solutions({"id": "c", "f": [False, 1]}, {"id": "d", "f": [1]}),
+    "short-f": _solutions({"id": "c", "f": [1]}),
+    "long-f-after-good": _solutions({"id": "c", "f": [1, 1]}, {"id": "d", "f": [1, 1, 1]}),
+    "string-in-x": _solutions({"id": "c", "f": [1, 1], "x": ["1"]}),
+    "nan-in-f": _solutions({"id": "c", "f": [float("nan"), 1]}),
+    "infinity-in-f": _solutions({"id": "c", "f": [1, float("-inf")]}),
+    "nan-in-x": _solutions({"id": "c", "f": [1, 1], "x": [float("nan")]}),
+    "infinity-in-x": _solutions({"id": "c", "f": [1, 1], "x": [1, float("inf")]}),
+    "max-sense": _front_json(senses=["max", "min"]),
+    "duplicate-id": _solutions({"id": "a", "f": [1, 1]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOOK_CASES))
+@pytest.mark.parametrize("overrides", [None, {"f2": "max"}], ids=["file-senses", "override"])
+def test_load_json_packed_records_match_reference(name, overrides):
+    # the front, or the error's type and message, is the plain decode's
+    text = _HOOK_CASES[name]
+    want = _load_outcome(reference_load_json, text, overrides)
+    assert _load_outcome(load_front, text, format="json", senses=overrides) == want
+    assert _load_outcome(load_front, text.encode("utf-8"), format="json", senses=overrides) == want
+
+
 #: Raw CSV cells: numbers, padded and malformed numbers, quoted cells holding
 #: a separator or a line break, and characters that ``str.strip`` or
 #: ``str.splitlines`` read as space or a line break but universal newlines do not.
@@ -775,6 +849,23 @@ def test_load_json_peak_memory_stays_near_json_loads():
     })
     ratio = _peak_bytes(load_front, text, format="json") / _peak_bytes(json.loads, text)
     assert ratio < 2.2, ratio
+
+
+def test_load_json_peak_memory_is_below_json_loads():
+    # records are packed as they are decoded, so the loader never holds the
+    # dicts, lists and float objects of the whole document that json.loads
+    # builds, only the text beside the packed records
+    rng = np.random.default_rng(8)
+    text = json.dumps({
+        "objectives": [f"f{k}" for k in range(5)],
+        "solutions": [
+            {"id": f"s{k}", "f": row, "x": x}
+            for k, (row, x) in enumerate(zip(rng.uniform(0, 1, (2000, 5)).tolist(),
+                                             rng.uniform(0, 1, (2000, 3)).tolist()))
+        ],
+    })
+    ratio = _peak_bytes(load_front, text, format="json") / _peak_bytes(json.loads, text)
+    assert ratio < 0.85, ratio
 
 
 def test_load_json_from_bytes_peak_memory_stays_near_json_loads():

@@ -34,6 +34,7 @@ from helpers import (
     make_front,
     net_improvement,
     reference_partition,
+    reference_tournament,
 )
 
 
@@ -466,6 +467,50 @@ def test_select_dnc_tie_between_classes_raises(table1_nf, monkeypatch):
         select_dnc(table1_nf)
     with pytest.raises(EquivalenceViolation):
         verify_equivalence(table1_nf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(2, 5), seed=st.integers(0, 2**31))
+def test_select_dnc_trace_matches_reference_tournament(m, n, seed):
+    nf = _random_nf(m, n, seed)
+    classes = build_classes(nf)
+    for pairing_seed in (0, 1, seed % 1009):
+        decision = select_dnc(nf, pairing_seed=pairing_seed)
+        k, trace = reference_tournament(classes, pairing_seed)
+        assert decision.winner == classes[k]
+        assert type(decision.trace) is tuple
+        assert decision.trace == trace
+        # bit for bit, not only ==
+        assert [r.ip.hex() for r in decision.trace] == [r.ip.hex() for r in trace]
+        assert decision.trace is decision.trace  # built once, on first read
+    assert select_mmd(nf).trace is None and select_ws(nf).trace is None
+
+
+@pytest.mark.parametrize("pairing_seed", range(6))
+def test_select_dnc_tie_message_matches_reference_tournament(table1_nf, monkeypatch, pairing_seed):
+    from knee_mcdm import selection
+
+    # classes 1 and 4 tie: the pairing seed decides when they meet
+    tied = selection.EquivalenceClasses(
+        ids=("a", "b", "c", "d", "e"), rows=(0, 1, 2, 3, 4), starts=(0, 1, 2, 3, 4, 5),
+        mmd=(0.5, 0.1, 0.7, 0.9, 0.1), ws=(0.5, 0.1, 0.7, 0.9, 0.1), epsilon=0.0,
+    )
+    with pytest.raises(EquivalenceViolation) as want:
+        reference_tournament(tied, pairing_seed)
+    monkeypatch.setattr(selection, "build_classes", lambda nf, epsilon: tied)
+    with pytest.raises(EquivalenceViolation, match=f"^{want.value}$"):
+        select_dnc(table1_nf, pairing_seed=pairing_seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_decision_json_is_the_same_across_chunk_sizes(chunk, monkeypatch):
+    from knee_mcdm import selection
+
+    nf = _random_nf(20, 3, seed=4)
+    decisions = [select_mmd(nf), select_dnc(nf, pairing_seed=2)]
+    want = [decision.to_json() for decision in decisions]
+    monkeypatch.setattr(selection, "_JSON_CHUNK", chunk)
+    assert [decision.to_json() for decision in decisions] == want
 
 
 # ------------------------------------------------------------------ rank
