@@ -15,7 +15,6 @@ from .errors import (
     InvalidEpsilon,
     InvalidSpec,
     KneeMCDMError,
-    NoExpectation,
     NonFiniteValue,
     ParseError,
     SpreadOverflow,
@@ -30,9 +29,7 @@ from .front import (
 )
 from .generators import (
     FAMILIES,
-    Expectation,
     FrontSpec,
-    expected_selection,
     generate,
     random_nondominated_front,
 )
@@ -65,21 +62,18 @@ __all__ = [
     "EquivalenceClasses",
     "EquivalenceReport",
     "EquivalenceViolation",
-    "Expectation",
     "FAMILIES",
     "Front",
     "FrontSpec",
     "InvalidEpsilon",
     "InvalidSpec",
     "KneeMCDMError",
-    "NoExpectation",
     "NonFiniteValue",
     "NormalizedFront",
     "ParseError",
     "SpreadOverflow",
     "build_classes",
     "dominance_filter",
-    "expected_selection",
     "generate",
     "load_front",
     "normalize",

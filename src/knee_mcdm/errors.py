@@ -63,9 +63,5 @@ class InvalidSpec(KneeMCDMError, ValueError):
     """Generator or bench parameters are out of range."""
 
 
-class NoExpectation(KneeMCDMError):
-    """No qualitative selection outcome is defined for this front family."""
-
-
 class DegenerateSpreadWarning(UserWarning):
     """A zero-spread dimension was excluded from scoring."""

@@ -219,19 +219,13 @@ class NormalizedFront:
     y_opt: np.ndarray
     degenerate_dims: frozenset[int]
 
-    @cached_property
     def deviations(self) -> np.ndarray:
-        """(M, N) matrix of (f - ell)/L, 0 on degenerate columns.
+        """New (M, N) matrix of (f - ell)/L, 0 on degenerate columns.
 
         Computed from raw values rather than as y - y_opt: subtracting the
         stored column minimum before dividing keeps the entries accurate when
         the raw values are offset far from zero.
         """
-        dev = self._deviations()
-        dev.flags.writeable = False
-        return dev
-
-    def _deviations(self) -> np.ndarray:
         dev = self.base.objectives - self.ell
         dev /= np.where(self.L > 0.0, self.L, 1.0)
         if self.degenerate_dims:
@@ -242,7 +236,7 @@ class NormalizedFront:
     def mmd_scores(self) -> np.ndarray:
         """Manhattan distance of each normalized row from the ideal vector,
         summed from a deviation matrix that is not kept."""
-        d = self._deviations().sum(axis=1)
+        d = self.deviations().sum(axis=1)
         d.flags.writeable = False
         return d
 

@@ -26,13 +26,12 @@ import math
 import operator
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InvalidSpec, NoExpectation
-from .front import Front, normalize
-from .selection import Decision
+from .errors import InvalidSpec
+from .front import Front
 
 _FIXED_FAMILIES = {"table1", "table2like"}
 
@@ -247,88 +246,3 @@ def agreement_corpus(count: int) -> Iterator[tuple[str, Front]]:
         else:
             m, n = 2 + k % 63, 2 + k % 5
             yield f"sphere(M={m},N={n})[{k}]", random_nondominated_front(m, n, seed=k)
-
-
-class Expectation(NamedTuple):
-    """Qualitative outcome a family's winner class must satisfy."""
-
-    family: str
-    description: str
-    check: Callable[[Front, Decision], bool]
-
-
-def _extreme_ids(front: Front) -> set[str]:
-    """Ids of the per-dimension minimizing samples (all ties included)."""
-    ids = set()
-    for k in range(front.n):
-        col = front.objectives[:, k]
-        ids.update(front.ids[int(r)] for r in np.flatnonzero(col == col.min()))
-    return ids
-
-
-def _check_interior_singleton(front: Front, decision: Decision) -> bool:
-    winner = set(decision.winner_ids)
-    return len(winner) == 1 and not (winner & _extreme_ids(front))
-
-
-def _check_extremes(front: Front, decision: Decision) -> bool:
-    return set(decision.winner_ids) == _extreme_ids(front)
-
-
-def _check_everything(front: Front, decision: Decision) -> bool:
-    return set(decision.winner_ids) == set(front.ids)
-
-
-def _check_table1(front: Front, decision: Decision) -> bool:
-    return decision.winner_ids == ("x6",)
-
-
-def _check_table2like(front: Front, decision: Decision) -> bool:
-    nf = normalize(front)
-    ws, mmd = nf.ws_scores, nf.mmd_scores
-    ws_rel_spread = (ws.max() - ws.min()) / max(1.0, abs(ws.min()))
-    winner = set(decision.winner_ids)
-    return (
-        ws_rel_spread < 1e-6
-        and mmd.max() - mmd.min() >= 0.5
-        and len(winner) >= 1
-        and not (winner & _extreme_ids(front))
-    )
-
-
-_EXPECTATIONS: dict[str, Expectation] = {
-    "convex2d": Expectation(
-        "convex2d", "winner is a single interior sample", _check_interior_singleton
-    ),
-    "concave2d": Expectation(
-        "concave2d", "winner class is exactly the per-dimension extremes", _check_extremes
-    ),
-    "sphere3d": Expectation(
-        "sphere3d", "winner class is exactly the per-dimension extremes", _check_extremes
-    ),
-    "line2d": Expectation(
-        "line2d", "one class containing every sample", _check_everything
-    ),
-    "plane3d": Expectation(
-        "plane3d", "one class containing every sample", _check_everything
-    ),
-    "table1": Expectation("table1", "winner is {x6}", _check_table1),
-    "table2like": Expectation(
-        "table2like",
-        "weighted sums indistinguishable, distances spread, interior winner",
-        _check_table2like,
-    ),
-}
-
-
-def expected_selection(family: str) -> Expectation:
-    """Oracle predicate for a family's selection outcome.
-
-    Raises NoExpectation for families without a stated qualitative outcome
-    (the disconnected family is covered by the extreme-segment side property
-    instead).
-    """
-    try:
-        return _EXPECTATIONS[family]
-    except KeyError:
-        raise NoExpectation(f"no selection expectation for family {family!r}") from None

@@ -13,7 +13,6 @@ from knee_mcdm import (
     FrontSpec,
     build_classes,
     dominance_filter,
-    expected_selection,
     generate,
     normalize,
     random_nondominated_front,
@@ -23,7 +22,12 @@ from knee_mcdm import (
 )
 from knee_mcdm.bench import run_bench
 
-from helpers import brute_force_nondominated, make_front, net_improvement
+from helpers import (
+    brute_force_nondominated,
+    expected_selection,
+    make_front,
+    net_improvement,
+)
 
 # Reference MMD / WS columns for the fixed 16-point front (4-decimal table
 # values; reproduction tolerance covers the rounding).
@@ -145,8 +149,16 @@ def test_shape_properties():
         expectation = expected_selection(family)
         for seed in range(20):
             front = generate(FrontSpec(family=family, samples=40, seed=seed))
-            decision = select_mmd(normalize(front))
-            assert expectation.check(front, decision), (family, seed, decision.winner_ids)
+            nf = normalize(front)
+            for decision in (
+                select_mmd(nf),
+                select_ws(nf),
+                select_dnc(nf, pairing_seed=1),
+                select_dnc(nf, pairing_seed=2),
+            ):
+                assert expectation.check(front, decision), (
+                    family, seed, decision.method, decision.winner_ids
+                )
             cases += 1
     print(f"PASS: shape selection properties ({cases} family/seed cases)")
 

@@ -958,7 +958,7 @@ def test_normalize_unit_spread_property(m, n, seed):
         col = nf.y[:, k]
         assert abs((col.max() - col.min()) - 1.0) <= 1e-12
         assert nf.y_opt[k] == col.min()
-        dev = nf.deviations[:, k]
+        dev = nf.deviations()[:, k]
         assert dev.min() >= 0.0 and dev.max() <= 1.0 + 1e-12
 
 

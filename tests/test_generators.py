@@ -1,18 +1,23 @@
+import types
+
 import numpy as np
 import pytest
 
+import knee_mcdm
 from knee_mcdm import (
     FrontSpec,
     InvalidSpec,
-    NoExpectation,
     dominance_filter,
-    expected_selection,
     generate,
     normalize,
     random_nondominated_front,
+    select_dnc,
     select_mmd,
+    select_ws,
 )
 from knee_mcdm.generators import _DISCONNECTED_SEGMENTS, FAMILIES, TABLE1_ROWS
+
+from helpers import NoExpectation, expected_selection
 
 
 @pytest.mark.parametrize(
@@ -68,7 +73,7 @@ def test_convex2d_shape():
 def test_concave2d_normalized_sums_bound():
     front = generate(FrontSpec(family="concave2d", samples=50, seed=2))
     nf = normalize(front)
-    sums = nf.deviations.sum(axis=1)
+    sums = nf.deviations().sum(axis=1)
     assert np.all(sums >= 1.0 - 1e-12)
     at_one = {front.ids[k] for k in np.flatnonzero(np.abs(sums - 1.0) <= 1e-12)}
     assert at_one == {"p0", "p49"}
@@ -140,22 +145,47 @@ def test_noise_perturbs_values():
     assert np.abs(base.objectives - noisy.objectives).max() < 0.1
 
 
+def _all_rules(front):
+    nf = normalize(front)
+    return (
+        select_mmd(nf),
+        select_ws(nf),
+        select_dnc(nf, pairing_seed=1),
+        select_dnc(nf, pairing_seed=2),
+    )
+
+
 def test_expected_selection_predicates_hold():
     for family in ("convex2d", "concave2d", "line2d", "plane3d", "sphere3d"):
         expectation = expected_selection(family)
         front = generate(FrontSpec(family=family, samples=30, seed=13))
-        decision = select_mmd(normalize(front))
-        assert expectation.check(front, decision), (family, decision.winner_ids)
+        for decision in _all_rules(front):
+            assert expectation.check(front, decision), (
+                family, decision.method, decision.winner_ids
+            )
     for family in ("table1", "table2like"):
         expectation = expected_selection(family)
         front = generate(FrontSpec(family=family))
-        decision = select_mmd(normalize(front))
-        assert expectation.check(front, decision)
+        for decision in _all_rules(front):
+            assert expectation.check(front, decision), (family, decision.method)
 
 
 def test_expected_selection_rejects_families_without_statement():
     with pytest.raises(NoExpectation):
         expected_selection("disconnected2d")
+
+
+def test_package_exports_are_its_public_names():
+    public = sorted(
+        name
+        for name, value in vars(knee_mcdm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert sorted(knee_mcdm.__all__) == public
+    for name in ("Expectation", "expected_selection", "NoExpectation"):
+        assert not hasattr(knee_mcdm, name), name
+    for name in ("Decision", "normalize"):
+        assert not hasattr(knee_mcdm.generators, name), name
 
 
 def test_random_nondominated_front_properties():
