@@ -24,7 +24,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -131,8 +131,11 @@ class Front:
         if len(ids) != m:
             raise ParseError(f"{len(ids)} ids for {m} rows")
 
-        unique = dict.fromkeys(ids)  # half the memory of set(ids)
-        if len(unique) != m or "" in unique:
+        # a sorted int64 per id, not a hash table: a repeated hash flags every
+        # duplicate, and a true collision only costs the walk below
+        hashes = np.fromiter(map(hash, ids), np.int64, m)
+        hashes.sort()
+        if "" in ids or (hashes[1:] == hashes[:-1]).any():
             # walk the ids only to name the first culprit
             seen: set[str] = set()
             for sid in ids:
@@ -142,9 +145,8 @@ class Front:
                     raise DuplicateId(sid)
                 seen.add(sid)
 
-        bad = ~np.isfinite(f)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
+        if not np.isfinite(f).all():
+            row, col = np.argwhere(~np.isfinite(f))[0]
             raise NonFiniteValue(ids[row], names[col])
 
         if xs is not None:
@@ -309,9 +311,15 @@ def normalize(front: Front) -> NormalizedFront:
 
 #: Rows per block in ``dominance_filter``.  The Python loop runs once per
 #: block, and one block's test allocates O(block * (K + block)) booleans for K
-#: rows kept so far, plus numpy's buffers for the broadcast compare: up to
-#: 8192 elements of each input, which the small integer ranks keep small.
+#: rows kept so far, plus numpy's buffers for the broadcast compare, which
+#: ``_FILTER_BUFSIZE`` bounds.
 _FILTER_BLOCK = 64
+
+#: Elements in each of numpy's ufunc buffers while ``dominance_filter`` runs,
+#: against numpy's default of 8192.  One broadcast compare of a block with
+#: 260 candidates then allocates about 1.3 KB of buffers, not 33.5 KB, beside
+#: its 16.6 KB result.
+_FILTER_BUFSIZE = 256
 
 #: Rows in ``dominance_filter``'s elimination window.  Each one costs a
 #: vectorised O(M * N) test before the walk.
@@ -322,14 +330,16 @@ def _filter_window(lines: np.ndarray) -> np.ndarray:
     """Positions of the ``_FILTER_WINDOW`` rows (all rows if fewer) with the
     smallest sum of spread-normalised values, given one line per column."""
     score = np.zeros(lines.shape[1])
+    half = np.empty_like(score)
     for line in lines:
-        half = line * 0.5  # halves of finite floats: max - min cannot overflow
+        np.multiply(line, 0.5, out=half)  # halves of finite floats: max - min cannot overflow
         low = half.min()
         spread = half.max() - low
         if spread > 0.0:
             half -= low
             half /= spread  # in [0, 1]
             score += half
+    del half  # before argpartition's copy of score and its M positions
     return np.argpartition(score, min(len(score), _FILTER_WINDOW) - 1)[:_FILTER_WINDOW]
 
 
@@ -344,25 +354,43 @@ def _window_survivors(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the values.  They take the smallest unsigned type that holds the row
     count.  The window tests run on column views of the row-major rows, with
     no transposed copy: a strided compare with a scalar allocates no buffer,
-    where a ``compress`` of the views would.
+    where a ``compress`` of the views would.  Each test clears the rows it
+    removes in one ``alive`` mask, through two reused result buffers.  The
+    rows are copied out once the mask has dropped half of them, and later
+    compactions move them up in that copy, so the window never holds more
+    than half of ``f``.  The ranks are read from ``f``'s columns at the
+    survivors' positions, one column at a time.
     """
-    rows = f
-    left = np.arange(len(f))  # input position of each row still in ``rows``
+    rows, left = f, None  # left: the input position of each row, None while rows is f
+    alive = np.ones(len(f), dtype=bool)
+    ge, gt = np.empty_like(alive), np.empty_like(alive)
     for w in f[_filter_window(f.T)]:
         # rows w dominates: >= w in every column and > w in at least one
-        ge = rows[:, 0] >= w[0]
-        gt = rows[:, 0] > w[0]
+        np.greater_equal(rows[:, 0], w[0], out=ge)
+        np.greater(rows[:, 0], w[0], out=gt)
         for col, value in zip(rows.T[1:], w[1:]):
             ge &= col >= value
             gt |= col > value
         ge &= gt
-        if ge.any():
-            keep = ~ge
-            rows = rows[keep]
-            left = left[keep]
-    ranks = np.empty(rows.T.shape, dtype=np.min_scalar_type(len(rows)))
-    for line, col in zip(ranks, rows.T):
-        line[:] = np.unique(col, return_inverse=True)[1]
+        np.greater(alive, ge, out=alive)  # alive and not dominated by w
+        count = np.count_nonzero(alive)
+        if 2 * count > len(alive):
+            continue
+        if left is None:  # rows is f: copy the survivors out
+            rows, left = rows[alive], np.flatnonzero(alive)
+        else:
+            # move them up in place, one column at a time: a column's kept
+            # values are read before any is written, and no other is touched
+            for col in (*rows.T, left):
+                col[:count] = col[alive]
+            rows, left = rows[:count], left[:count]
+        alive, ge, gt = alive[:count], ge[:count], gt[:count]
+        alive[:] = True
+    left = np.flatnonzero(alive) if left is None else left[alive]
+    del rows, alive, ge, gt
+    ranks = np.empty((f.shape[1], len(left)), dtype=np.min_scalar_type(len(left)))
+    for line, col in zip(ranks, f.T):
+        line[:] = np.unique(col[left], return_inverse=True)[1]
     order = np.lexsort(ranks[::-1])
     return left[order], ranks.take(order, axis=1)
 
@@ -409,20 +437,36 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
     only; nothing is done per pair beyond that test.
 
     Cost: O(M * W * N + M' log M' + M' * K * (N - 1)) time for window size
-    W, M' rows left by the window and K kept rows, and O(M * N + B * (K + B))
-    memory for block size B, against O(M^2 * N) for both when every pair is
-    compared at once.
+    W, M' rows left by the window and K kept rows, against O(M^2 * N) when
+    every pair is compared at once.  Beside the front, the filter holds at
+    most half its matrix (the window's copy), O(M) bytes of masks and
+    positions, and O(B * (K + B)) booleans per block of size B, with the
+    walk's ufunc buffers held to ``_FILTER_BUFSIZE`` elements and the
+    caller's buffer size restored on return.  The walk's columns are freed
+    before the outputs are built.
     """
-    order, rows = _window_survivors(front.objectives)
+    bufsize = np.setbufsize(_FILTER_BUFSIZE)
+    try:
+        dominated = _dominated(front.objectives)
+    finally:
+        np.setbufsize(bufsize)
+    return front.take(np.flatnonzero(~dominated)), list(compress(front.ids, dominated))
+
+
+def _dominated(f: np.ndarray) -> np.ndarray:
+    """Mask of the rows of ``f`` that another row dominates: the window,
+    then the block walk over its survivors (see ``dominance_filter``).  The
+    walk's columns are freed on return."""
+    order, rows = _window_survivors(f)
     n, m = rows.shape
     # first[p]: the sorted position where the run of rows equal to row p begins
     run_start = np.ones(m, dtype=bool)
     run_start[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
-    first = np.maximum.accumulate(np.where(run_start, np.arange(m), 0))
+    first = np.maximum.accumulate(np.where(run_start, np.arange(m, dtype=rows.dtype), 0))
     archive = np.empty_like(rows)
-    pos = np.empty(m, dtype=np.intp)  # sorted position of each archived row
+    pos = np.empty(m, dtype=rows.dtype)  # sorted position of each archived row
     kept = 0
-    dominated = np.ones(front.m, dtype=bool)  # rows the window removed stay True
+    dominated = np.ones(len(f), dtype=bool)  # rows the window removed stay True
     for start in range(0, m, _FILTER_BLOCK):
         block = rows[:, start : start + _FILTER_BLOCK]
         size = block.shape[1]
@@ -443,9 +487,7 @@ def dominance_filter(front: Front) -> tuple[Front, list[str]]:
         pos[kept : kept + gained] = block_pos[survivors]
         kept += gained
         dominated[order[start : start + size]] = lost
-    keep = np.flatnonzero(~dominated)
-    removed = [front.ids[k] for k in np.flatnonzero(dominated)]
-    return front.take(keep), removed
+    return dominated
 
 
 def _resolve_senses(

@@ -435,6 +435,37 @@ def test_empty_id_rejected():
         load_front("id,f1,f2\n,0,1\nb,1,0\n")
 
 
+def _first_bad_id(ids):
+    """The error the id check must raise for ``ids``: the first empty or
+    repeated id in input order, or None."""
+    seen = set()
+    for sid in ids:
+        if not sid:
+            return ParseError, "empty solution id"
+        if sid in seen:
+            return DuplicateId, f"duplicate solution id {sid!r}"
+        seen.add(sid)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.sampled_from(["", "a", "b", "c", "d", "e", "f"]), min_size=1, max_size=8))
+def test_id_check_when_every_hash_collides(ids):
+    # a constant hash makes the sorted-hash gate fire on every front, so the
+    # culprit walk alone decides: unique ids still load, and an empty or
+    # repeated id raises the error of its first culprit, as without the collision
+    text = "id,f1,f2\n" + "".join(f"{sid},{k},{-k}\n" for k, sid in enumerate(ids))
+    want = _first_bad_id(ids)
+    plain = _load_outcome(load_front, text)
+    with mock.patch.object(front_module, "hash", lambda sid: 7, create=True):
+        assert _load_outcome(load_front, text) == plain
+        assert _load_outcome(reference_load_csv, text) == plain
+    if want is None:
+        assert plain[0].ids == tuple(ids)
+    else:
+        assert plain == want
+
+
 def test_normalize_spread_overflow_raises():
     front = load_front("id,f1,f2\na,-1e308,1e308\nb,1e308,-1e308\nc,0,0\n")
     with pytest.raises(SpreadOverflow, match="f1"):
@@ -900,6 +931,51 @@ def test_load_csv_peak_memory_stays_near_text_size(last_row):
 
     ratio = _peak_bytes(load) / len(text)
     assert ratio < 3, ratio
+
+
+def _cube_csv(seed, m=2000, n=5):
+    rows = np.random.default_rng(seed).uniform(0, 1, (m, n)).tolist()
+    return f"id,{','.join(f'f{j}' for j in range(n))}\n" + "".join(
+        f"s{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_load_csv_peak_memory_near_the_front_it_keeps(seed):
+    # the id check sorts one int64 hash per id rather than building a hash
+    # table, so the load holds little beyond the front it returns
+    text = _cube_csv(seed)
+    tracemalloc.start()
+    try:
+        front = load_front(text, format="csv")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert front.m == 2000
+    assert peak <= 1.3 * retained, peak / retained
+
+
+@pytest.mark.parametrize("seed", [0, 2, 6])
+def test_dominance_filter_peak_memory_below_the_objectives_on_a_csv_cube(seed):
+    # the window clears one mask rather than copying the rows per window row,
+    # and the walk's compares run with small ufunc buffers
+    front = load_front(_cube_csv(seed), format="csv")
+    ratio = _peak_bytes(dominance_filter, front) / front.objectives.nbytes
+    assert ratio < 0.9, ratio
+
+
+def test_dominance_filter_restores_the_ufunc_buffer_size():
+    front = make_front(np.random.default_rng(3).uniform(0, 1, (500, 4)))
+    bufsize = np.setbufsize(4096)
+    try:
+        dominance_filter(front)
+        assert np.getbufsize() == 4096
+        with mock.patch.object(np, "searchsorted", side_effect=RuntimeError("in the walk")):
+            with pytest.raises(RuntimeError, match="in the walk"):
+                dominance_filter(front)
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(bufsize)
 
 
 # ------------------------------------------------------------- normalize
